@@ -11,9 +11,10 @@ import argparse
 import csv
 import hashlib
 import json
+import math
 import os
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -23,7 +24,6 @@ from .specfun import (
     FracParams,
     kappa_s,
     sigma_s,
-    sobolev_trace_constant,
     theta_profile,
     theta_profile_deriv,
 )
@@ -33,8 +33,6 @@ from .operator import (
     apply_operator,
     bessel_kernel,
     build_symbol,
-    inner,
-    norm_l2,
     solve_resolvent,
 )
 from .extension import conormal_derivative, extend
@@ -49,15 +47,16 @@ from .model import (
 )
 from .solver import (
     AutonomousConfig,
+    NoPositivePartError,
     Tolerances,
     autonomous_ground_state,
     decay_fit,
-    dist_to_wells,
     estimate_s_star,
     concentration_sweep,
     grid_for_eps,
     ground_state,
     mp_threshold,
+    shell_envelope,
     verify_solution_region,
 )
 
@@ -65,9 +64,6 @@ EXIT_PASS = 0
 EXIT_NUMERICAL = 1
 EXIT_INVALID = 2
 EXIT_PARSE = 3
-
-# test hook: when set, the kernel suite uses this in place of sigma_s
-_sigma_override = None
 
 
 class ConfigError(Exception):
@@ -102,7 +98,6 @@ _SCHEMA = {
     "grid.points_per_dim": ("int", False, 128),
     "grid.half_length": ("float", False, None),
     "solver.grad_tol": ("float", False, 1e-6),
-    "solver.nehari_tol": ("float", False, 1e-10),
     "solver.max_iterations": ("int", False, 20000),
     "solver.restarts": ("int", False, 3),
     "sweep.eps": ("float_list", False, (0.5, 0.25, 0.1)),
@@ -113,15 +108,17 @@ _SCHEMA = {
 
 def _parse_scalar(kind, text, line_no):
     try:
-        if kind == "float":
-            return float(text)
-        if kind == "int":
-            val = float(text)
-            if val != int(val):
-                raise ValueError
-            return int(val)
+        val = float(text)
     except ValueError:
         raise ConfigError(f"cannot parse {text!r} as {kind}", line_no)
+    if not math.isfinite(val):
+        raise ConfigError(f"{text!r} is not a finite number", line_no)
+    if kind == "float":
+        return val
+    if kind == "int":
+        if val != int(val):
+            raise ConfigError(f"cannot parse {text!r} as {kind}", line_no)
+        return int(val)
     raise ConfigError(f"unknown value kind {kind!r}", line_no)
 
 
@@ -238,7 +235,6 @@ def build_config(raw):
         half_length=raw["grid.half_length"] or 0.0,
         tolerances=Tolerances(
             grad=raw["solver.grad_tol"],
-            nehari=raw["solver.nehari_tol"],
             max_iterations=raw["solver.max_iterations"],
         ),
         restarts=raw["solver.restarts"],
@@ -381,7 +377,7 @@ def _kernel_checks(cfg):
     """
     frac = cfg.frac
     s, m, N = frac.s, frac.m, frac.n_dim
-    sig = _sigma_override if _sigma_override is not None else sigma_s(s)
+    sig = sigma_s(s)
     checks = []
 
     # theta(r) = 1 - O(r^(2s)); probe where the correction is ~1e-8
@@ -453,21 +449,6 @@ def cmd_kernels(args) -> int:
     return EXIT_PASS if all_pass else EXIT_NUMERICAL
 
 
-def _radial_envelope(result):
-    """Shell envelope (2h bins) of the field about its argmax."""
-    g = result.field.grid
-    r = g.radii(center=result.argmax_point).ravel()
-    v = result.field.values.ravel()
-    width = 2.0 * g.spacing
-    bins = np.floor(r / width).astype(int)
-    n_bins = bins.max() + 1
-    env = np.full(n_bins, -np.inf)
-    np.maximum.at(env, bins, v)
-    radii = (np.arange(n_bins) + 0.5) * width
-    ok = env > 0.0
-    return radii[ok], env[ok]
-
-
 def cmd_solve(args) -> int:
     raw = load_config(args.config)
     cfg, settings = build_config(raw)
@@ -511,9 +492,10 @@ def cmd_solve(args) -> int:
     write_csv(diag_path, diag_header, [diag_row], cfg_hash)
     outputs.append(diag_path)
 
-    radii, env = _radial_envelope(res)
+    radii, env = shell_envelope(res)
+    ok = env > 0.0
     svg_path = os.path.join(args.out, "profile.svg")
-    write_svg(svg_path, radii, np.log10(env), "radial profile",
+    write_svg(svg_path, radii[ok], np.log10(env[ok]), "radial profile",
               "r = |x - argmax|", "log10 shell max of u")
     outputs.append(svg_path)
 
@@ -532,8 +514,8 @@ def cmd_sweep(args) -> int:
     if len(eps_list) < 3:
         print("sweep needs at least 3 eps values", file=sys.stderr)
         return EXIT_INVALID
-    if any(e <= 0 for e in eps_list):
-        print("eps values must be positive", file=sys.stderr)
+    if not all(math.isfinite(e) and e > 0 for e in eps_list):
+        print("eps values must be positive and finite", file=sys.stderr)
         return EXIT_INVALID
     os.makedirs(args.out, exist_ok=True)
     jobs = args.jobs if args.jobs else settings.sweep_jobs
@@ -652,7 +634,7 @@ def main(argv=None) -> int:
     except (AssumptionError, DomainError) as exc:
         print(f"invalid parameters: {exc}", file=sys.stderr)
         return EXIT_INVALID
-    except (ArithmeticError, RuntimeError) as exc:
+    except (ArithmeticError, RuntimeError, NoPositivePartError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
 

@@ -1,5 +1,4 @@
-"""Problem data: potential well, power nonlinearity, penalization, and
-the penalized trace energy with its gradient.
+"""Problem data: potential well, power nonlinearity and penalization.
 
 The potential V has a designated well region Lambda containing the set
 M of its minima; outside Lambda the nonlinearity is truncated above the
@@ -8,17 +7,15 @@ the variational problem compact-friendly while leaving solutions that
 stay below a outside Lambda untouched.
 
 All optimization happens on trace fields over R^N with the spectral
-operator; the half-space only appears in the extension module.
+operator (the energy and its gradient live in the solver module); the
+half-space only appears in the extension module.
 """
 
-import warnings
-from dataclasses import dataclass, field
-from typing import Callable, Sequence
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.optimize import brentq
 
-from .operator import Field, GridMismatchError, KernelTable, operator_quadratic_form
 from .specfun import FracParams
 
 
@@ -289,7 +286,7 @@ def G_eval(config: ModelConfig, in_lambda, t):
 
 
 # ---------------------------------------------------------------------------
-# energy and gradient on the trace
+# problem data on the grid
 
 
 def potential_on_grid(config: ModelConfig, grid) -> np.ndarray:
@@ -303,29 +300,3 @@ def lambda_mask(config: ModelConfig, grid) -> np.ndarray:
     coords = [config.eps * c for c in grid.coords()]
     return config.potential.in_lambda(*coords)
 
-
-def energy(config: ModelConfig, u: Field, table: KernelTable) -> float:
-    """Penalized energy on the trace,
-
-        J(u) = 1/2 [<Au, u> + sum V(eps x) u^2 h^N] - sum G(eps x, u) h^N.
-    """
-    u.check_same_grid(table.grid)
-    g = u.grid
-    hN = g.spacing**g.n_dim
-    Veps = potential_on_grid(config, g)
-    mask = lambda_mask(config, g)
-    quad = operator_quadratic_form(u, table) + hN * float(np.sum(Veps * u.values**2))
-    return 0.5 * quad - hN * float(np.sum(G_eval(config, mask, u.values)))
-
-
-def energy_gradient(config: ModelConfig, u: Field, table: KernelTable) -> Field:
-    """L^2 gradient of the energy: A u + V(eps x) u - g(eps x, u)."""
-    from .operator import apply_operator
-
-    u.check_same_grid(table.grid)
-    g = u.grid
-    Veps = potential_on_grid(config, g)
-    mask = lambda_mask(config, g)
-    Au = apply_operator(u, table)
-    vals = Au.values + Veps * u.values - g_eval(config, mask, u.values)
-    return Field(grid=g, values=vals)

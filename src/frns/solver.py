@@ -49,7 +49,6 @@ class NoBracketError(RuntimeError):
 @dataclass(frozen=True)
 class Tolerances:
     grad: float = 1e-6          # relative max-norm of the energy gradient
-    nehari: float = 1e-10       # |<J'(u), u>| relative to ||u||_eps^2
     max_iterations: int = 20000
     stall_limit: int = 60       # consecutive rejected steps before giving up
 
@@ -86,140 +85,132 @@ class AutonomousConfig:
 
 
 @dataclass(frozen=True)
-class _Problem:
-    """Internal adapter: everything the descent loop needs."""
+class NehariProblem:
+    """Energy, gradient and Nehari scaling of one problem on one grid.
+
+        J(u) = 1/2 ||u||^2 - sum G(x, u) h^N,  ||u||^2 = <Au, u> + sum V u^2 h^N,
+
+    with gradient J'(u) = A u + V u - g(x, u).  The penalized and the
+    autonomous problem differ only in V and in the nonlinearity g (with
+    primitive G); build them with `penalized` and `autonomous`.  Every
+    method takes raw sample values on `grid`.
+    """
 
     grid: Grid
     table: KernelTable
     V: np.ndarray               # potential values on the grid
     in_lambda: np.ndarray       # where the untruncated nonlinearity acts
-    g: Callable                 # g(in_lambda, t) -> array
-    G: Callable                 # primitive
+    g: Callable                 # t -> g(x, t) on the grid
+    G: Callable                 # its primitive in t
 
-
-def _penalized_problem(config: ModelConfig, grid: Grid, table=None) -> _Problem:
-    if table is None:
-        table = build_symbol(grid, config.frac)
-    mask = lambda_mask(config, grid)
-    return _Problem(
-        grid=grid,
-        table=table,
-        V=np.broadcast_to(potential_on_grid(config, grid), grid.shape),
-        in_lambda=mask,
-        g=lambda il, t: g_eval(config, il, t),
-        G=lambda il, t: G_eval(config, il, t),
-    )
-
-
-def _autonomous_problem(config: AutonomousConfig, grid: Grid, table=None) -> _Problem:
-    if table is None:
-        table = build_symbol(grid, config.frac)
-    nl, two_star = config.nonlin, config.frac.two_star
-
-    def g_fn(_, t):
-        tp = np.maximum(np.asarray(t, dtype=float), 0.0)
-        return nl.f(tp) + tp ** (two_star - 1.0)
-
-    def G_fn(_, t):
-        tp = np.maximum(np.asarray(t, dtype=float), 0.0)
-        return nl.F(tp) + tp**two_star / two_star
-
-    return _Problem(
-        grid=grid,
-        table=table,
-        V=np.full(grid.shape, config.mu),
-        in_lambda=np.ones(grid.shape, dtype=bool),
-        g=g_fn,
-        G=G_fn,
-    )
-
-
-def _quadratic(problem: _Problem, u_vals: np.ndarray) -> float:
-    """||u||_eps^2 = <Au, u> + sum V u^2 h^N."""
-    g = problem.grid
-    hN = g.spacing**g.n_dim
-    uf = Field(grid=g, values=u_vals)
-    return operator_quadratic_form(uf, problem.table) + hN * float(
-        np.sum(problem.V * u_vals**2)
-    )
-
-
-def _energy_of_scaled(problem: _Problem, u_vals, quad, t) -> float:
-    """J(t u) given quad = ||u||_eps^2 (no FFT needed per t)."""
-    hN = problem.grid.spacing**problem.grid.n_dim
-    return 0.5 * t * t * quad - hN * float(
-        np.sum(problem.G(problem.in_lambda, t * u_vals))
-    )
-
-
-def _nehari_scale_vals(problem: _Problem, u_vals, quad=None) -> float:
-    """Unique t > 0 with <J'(t u), t u> = 0 for the given sample values."""
-    pos_in = np.logical_and(problem.in_lambda, u_vals > 0.0)
-    if not np.any(pos_in):
-        raise NoPositivePartError(
-            "field has no positive part inside the well region; no Nehari scale"
+    @classmethod
+    def penalized(cls, config: ModelConfig, grid: Grid, table=None) -> "NehariProblem":
+        """Potential V(eps x) and the penalized nonlinearity g(eps x, t)."""
+        if table is None:
+            table = build_symbol(grid, config.frac)
+        mask = lambda_mask(config, grid)
+        return cls(
+            grid=grid,
+            table=table,
+            V=np.broadcast_to(potential_on_grid(config, grid), grid.shape),
+            in_lambda=mask,
+            g=lambda t: g_eval(config, mask, t),
+            G=lambda t: G_eval(config, mask, t),
         )
-    if quad is None:
-        quad = _quadratic(problem, u_vals)
-    hN = problem.grid.spacing**problem.grid.n_dim
 
-    def mismatch(t):
-        # <J'(tu), tu>/t^2 = quad - sum g(x, tu) u h^N / t, nonincreasing in t
-        return quad - hN * float(
-            np.sum(problem.g(problem.in_lambda, t * u_vals) * u_vals)
-        ) / t
+    @classmethod
+    def autonomous(cls, config: AutonomousConfig, grid: Grid, table=None) -> "NehariProblem":
+        """Constant potential mu and the untruncated f(t) + (t+)^(2*_s - 1)."""
+        if table is None:
+            table = build_symbol(grid, config.frac)
+        nl, two_star = config.nonlin, config.frac.two_star
 
-    lo = hi = 1.0
-    f_hi = mismatch(1.0)
-    if f_hi > 0.0:
-        while f_hi > 0.0:
-            lo = hi
-            hi *= 2.0
-            if hi > 1e6:
-                raise NoBracketError("no Nehari bracket found scanning up to t = 1e6")
-            f_hi = mismatch(hi)
-    else:
-        f_lo = f_hi
-        while f_lo <= 0.0:
-            hi = lo
-            lo *= 0.5
-            if lo < 1e-12:
-                raise NoBracketError("no Nehari bracket found scanning down to t = 1e-12")
-            f_lo = mismatch(lo)
-    return float(brentq(mismatch, lo, hi, xtol=1e-300, rtol=8.9e-16, maxiter=200))
+        def g(t):
+            tp = np.maximum(np.asarray(t, dtype=float), 0.0)
+            return nl.f(tp) + tp ** (two_star - 1.0)
+
+        def G(t):
+            tp = np.maximum(np.asarray(t, dtype=float), 0.0)
+            return nl.F(tp) + tp**two_star / two_star
+
+        return cls(
+            grid=grid,
+            table=table,
+            V=np.full(grid.shape, config.mu),
+            in_lambda=np.ones(grid.shape, dtype=bool),
+            g=g,
+            G=G,
+        )
+
+    @property
+    def cell_volume(self) -> float:
+        return self.grid.spacing**self.grid.n_dim
+
+    def quadratic(self, u_vals) -> float:
+        """||u||^2 = <Au, u> + sum V u^2 h^N (one forward FFT)."""
+        uf = Field(grid=self.grid, values=u_vals)
+        return operator_quadratic_form(uf, self.table) + self.cell_volume * float(
+            np.sum(self.V * u_vals**2)
+        )
+
+    def energy(self, u_vals, quad=None, t=1.0) -> float:
+        """J(t u); pass quad = ||u||^2 when known to skip its FFT."""
+        if quad is None:
+            quad = self.quadratic(u_vals)
+        return 0.5 * t * t * quad - self.cell_volume * float(np.sum(self.G(t * u_vals)))
+
+    def gradient(self, u_vals) -> np.ndarray:
+        """L^2 gradient J'(u) = A u + V u - g(x, u)."""
+        Au = apply_operator(Field(grid=self.grid, values=u_vals), self.table)
+        return Au.values + self.V * u_vals - self.g(u_vals)
+
+    def nehari_scale(self, u_vals) -> tuple:
+        """(t, ||u||^2) for the unique t > 0 with <J'(t u), t u> = 0."""
+        if not np.any(np.logical_and(self.in_lambda, u_vals > 0.0)):
+            raise NoPositivePartError(
+                "field has no positive part inside the well region; no Nehari scale"
+            )
+        quad = self.quadratic(u_vals)
+        hN = self.cell_volume
+
+        def mismatch(t):
+            # <J'(tu), tu>/t^2 = quad - sum g(x, tu) u h^N / t, nonincreasing in t
+            return quad - hN * float(np.sum(self.g(t * u_vals) * u_vals)) / t
+
+        lo = hi = 1.0
+        f_hi = mismatch(1.0)
+        if f_hi > 0.0:
+            while f_hi > 0.0:
+                lo = hi
+                hi *= 2.0
+                if hi > 1e6:
+                    raise NoBracketError("no Nehari bracket found scanning up to t = 1e6")
+                f_hi = mismatch(hi)
+        else:
+            f_lo = f_hi
+            while f_lo <= 0.0:
+                hi = lo
+                lo *= 0.5
+                if lo < 1e-12:
+                    raise NoBracketError("no Nehari bracket found scanning down to t = 1e-12")
+                f_lo = mismatch(lo)
+        t = brentq(mismatch, lo, hi, xtol=1e-300, rtol=8.9e-16, maxiter=200)
+        return float(t), quad
+
+    def nehari_residual(self, u_vals) -> float:
+        """|<J'(u), u>| / ||u||^2."""
+        quad = self.quadratic(u_vals)
+        pairing = quad - self.cell_volume * float(np.sum(self.g(u_vals) * u_vals))
+        return abs(pairing) / abs(quad)
 
 
-def nehari_scale(u: Field, problem_or_config, grid=None) -> float:
-    """Public Nehari scaling: accepts a ModelConfig / AutonomousConfig."""
-    problem = _as_problem(problem_or_config, u.grid)
-    return _nehari_scale_vals(problem, u.values)
-
-
-def _as_problem(config, grid: Grid) -> _Problem:
-    if isinstance(config, _Problem):
-        return config
-    if isinstance(config, ModelConfig):
-        return _penalized_problem(config, grid)
+def nehari_scale(u: Field, config) -> float:
+    """Nehari scale t(u) of a field for a ModelConfig or an AutonomousConfig."""
     if isinstance(config, AutonomousConfig):
-        return _autonomous_problem(config, grid)
-    raise TypeError(f"unsupported config type {type(config)!r}")
-
-
-def _nehari_residual(problem: _Problem, u_vals, quad=None) -> float:
-    """|<J'(u), u>| / ||u||_eps^2."""
-    if quad is None:
-        quad = _quadratic(problem, u_vals)
-    hN = problem.grid.spacing**problem.grid.n_dim
-    pairing = quad - hN * float(
-        np.sum(problem.g(problem.in_lambda, u_vals) * u_vals)
-    )
-    return abs(pairing) / abs(quad)
-
-
-def _gradient_vals(problem: _Problem, u_vals) -> np.ndarray:
-    uf = Field(grid=problem.grid, values=u_vals)
-    Au = apply_operator(uf, problem.table)
-    return Au.values + problem.V * u_vals - problem.g(problem.in_lambda, u_vals)
+        problem = NehariProblem.autonomous(config, u.grid)
+    else:
+        problem = NehariProblem.penalized(config, u.grid)
+    return problem.nehari_scale(u.values)[0]
 
 
 def _projected_gradient(u_vals, grad) -> np.ndarray:
@@ -233,7 +224,7 @@ def _projected_gradient(u_vals, grad) -> np.ndarray:
     return np.where(active, np.minimum(grad, 0.0), grad)
 
 
-def _descend(problem: _Problem, init_vals: np.ndarray, tol: Tolerances):
+def _descend(problem: NehariProblem, init_vals: np.ndarray, tol: Tolerances):
     """Nehari-constrained projected gradient descent.
 
     The raw gradient is preconditioned by the inverse symbol (a cheap
@@ -244,10 +235,9 @@ def _descend(problem: _Problem, init_vals: np.ndarray, tol: Tolerances):
     Returns (values, energy, iterations, converged).
     """
     u = np.maximum(init_vals, 0.0)
-    t0 = _nehari_scale_vals(problem, u)
+    t0, _ = problem.nehari_scale(u)
     u = t0 * u
-    quad = _quadratic(problem, u)
-    E = _energy_of_scaled(problem, u, quad, 1.0)
+    E = problem.energy(u)
 
     # (symbol + shift) is the preconditioner; shift keeps it safely
     # positive when V dips negative (V > -m^(2s) by the model invariants)
@@ -259,7 +249,7 @@ def _descend(problem: _Problem, init_vals: np.ndarray, tol: Tolerances):
     it = 0
     converged = False
     for it in range(1, tol.max_iterations + 1):
-        full_grad = _gradient_vals(problem, u)
+        full_grad = problem.gradient(u)
         pg = _projected_gradient(u, full_grad)
         gres = np.max(np.abs(pg)) / max(np.max(np.abs(u)), 1e-300)
         if gres <= tol.grad:
@@ -277,15 +267,13 @@ def _descend(problem: _Problem, init_vals: np.ndarray, tol: Tolerances):
         for _ in range(40):
             cand = np.maximum(u - step * direction, 0.0)
             try:
-                t = _nehari_scale_vals(problem, cand)
+                t, cand_quad = problem.nehari_scale(cand)
             except (NoPositivePartError, NoBracketError):
                 step *= 0.5
                 continue
-            cand_quad = _quadratic(problem, cand)
-            E_new = _energy_of_scaled(problem, cand, cand_quad, t)
+            E_new = problem.energy(cand, cand_quad, t)
             if E_new < E - 1e-16 * abs(E):
                 u = t * cand
-                quad = t * t * cand_quad
                 E = E_new
                 accepted = True
                 break
@@ -299,17 +287,16 @@ def _descend(problem: _Problem, init_vals: np.ndarray, tol: Tolerances):
     return u, E, it, converged
 
 
-def _package_result(problem: _Problem, u_vals, E, iterations, converged) -> SolveResult:
+def _package_result(problem: NehariProblem, u_vals, E, iterations, converged) -> SolveResult:
     g = problem.grid
     idx = np.unravel_index(int(np.argmax(u_vals)), g.shape)
     axis = g.axis()
     point = tuple(float(axis[i]) for i in idx)
-    quad = _quadratic(problem, u_vals)
-    grad = _projected_gradient(u_vals, _gradient_vals(problem, u_vals))
+    grad = _projected_gradient(u_vals, problem.gradient(u_vals))
     return SolveResult(
         field=Field(grid=g, values=u_vals),
         energy=float(E),
-        nehari_residual=_nehari_residual(problem, u_vals, quad),
+        nehari_residual=problem.nehari_residual(u_vals),
         grad_residual=float(np.max(np.abs(grad)) / max(np.max(np.abs(u_vals)), 1e-300)),
         argmax_point=point,
         argmax_index=tuple(int(i) for i in idx),
@@ -347,7 +334,7 @@ def ground_state(
     global minimality).  Randomized restarts perturb the initial bump
     to guard against local minima; the best energy wins.
     """
-    problem = _penalized_problem(config, grid, table)
+    problem = NehariProblem.penalized(config, grid, table)
     if init is None:
         init = default_init(config, grid)
     return _solve_with_restarts(problem, init, tolerances, restarts, seed)
@@ -363,7 +350,7 @@ def autonomous_ground_state(
     table: Optional[KernelTable] = None,
 ) -> SolveResult:
     """Ground state of the constant-potential problem; estimates d_mu."""
-    problem = _autonomous_problem(config, grid, table)
+    problem = NehariProblem.autonomous(config, grid, table)
     if init is None:
         init = gaussian_bump(grid, (0.0,) * grid.n_dim)
     return _solve_with_restarts(problem, init, tolerances, restarts, seed)
@@ -493,31 +480,34 @@ def verify_solution_region(result: SolveResult, config: ModelConfig) -> dict:
     }
 
 
+def shell_envelope(result: SolveResult) -> tuple:
+    """(radii, env): the max of u over radial shells of width 2h about
+    its argmax, at the shell midpoints; shells holding no positive value
+    read 0.  The width pairs cells because shell maxima alternate on
+    the raw lattice."""
+    g = result.field.grid
+    r = g.radii(center=result.argmax_point).ravel()
+    width = 2.0 * g.spacing
+    bins = (r / width).astype(int)
+    env = np.zeros(bins.max() + 1)
+    np.maximum.at(env, bins, result.field.values.ravel())
+    return (np.arange(env.size) + 0.5) * width, env
+
+
 def decay_fit(result: SolveResult, lo_frac=1e-8, hi_frac=1e-2) -> dict:
     """Least-squares fit u ~ C1 exp(-C2 |x - x_max|) on the annulus
     where u is between lo_frac and hi_frac of its sup.
 
-    The fit runs on the radial shell envelope (max per shell of width
-    h), not on raw grid values: the spectral truncation leaves an
-    oscillatory noise floor of relative size O(h^2) in the far field,
-    and raw points below it carry no decay information.  Shells past
-    the radius where the envelope stops decreasing are excluded for
-    the same reason.
+    The fit runs on the radial shell envelope (`shell_envelope`), not
+    on raw grid values: the spectral truncation leaves an oscillatory
+    noise floor of relative size O(h^2) in the far field, and raw
+    points below it carry no decay information.  Shells past the
+    radius where the envelope stops decreasing are excluded for the
+    same reason.
     """
-    g = result.field.grid
-    vals = result.field.values
     sup = result.sup_norm
-    r = g.radii(center=result.argmax_point)
-    h = g.spacing
-
-    r_flat = r.ravel()
-    v_flat = vals.ravel()
-    width = 2.0 * h  # paired cells: shell maxima alternate on the raw lattice
-    n_bins = int(np.ceil(np.max(r_flat) / width)) + 1
-    bins = np.minimum((r_flat / width).astype(int), n_bins - 1)
-    env = np.zeros(n_bins)
-    np.maximum.at(env, bins, v_flat)
-    radii = (np.arange(n_bins) + 0.5) * width
+    radii, env = shell_envelope(result)
+    n_bins = env.size
 
     # seed the decay rate on the clean near-core decade, then walk
     # outward accepting shells only while the envelope keeps falling at
@@ -668,64 +658,3 @@ def concentration_sweep(
         rows = [run_one(it)[1] for it in items]
     return rows
 
-
-def check_ce_vs_d(
-    config: ModelConfig,
-    eps_list: Sequence[float],
-    points_per_dim: int = 256,
-    tolerances: Tolerances = Tolerances(),
-    seed: int = 0,
-    agreement_rtol: float = 0.01,
-    slack: float = 0.05,
-) -> dict:
-    """Compare penalized levels c_eps against the autonomous level d at
-    the well depth mu = -V0.
-
-    Each c_eps is solved twice from different initializations and the
-    two runs must agree to `agreement_rtol` before the comparison is
-    trusted; the smallest-eps estimate must not exceed d by more than
-    `slack` (the empirical analogue of limsup c_eps <= d).
-    """
-    eps_sorted = sorted(eps_list, reverse=True)
-    levels = []
-    trusted = []
-    for i, eps in enumerate(eps_sorted):
-        cfg = with_eps(config, eps)
-        g = grid_for_eps(cfg, eps, points_per_dim)
-        r1 = ground_state(cfg, g, tolerances=tolerances, restarts=1, seed=seed)
-        init2 = default_init(cfg, g) * 1.7
-        rng = np.random.default_rng(seed + 1000 + i)
-        init2 = init2 * (1.0 + 0.15 * rng.standard_normal(g.shape))
-        r2 = ground_state(cfg, g, init=np.maximum(init2, 0.0),
-                          tolerances=tolerances, restarts=1, seed=seed + 1)
-        agree = abs(r1.energy - r2.energy) <= agreement_rtol * abs(r1.energy)
-        levels.append(min(r1.energy, r2.energy))
-        trusted.append(bool(agree and r1.converged and r2.converged))
-
-    # autonomous level at the well depth
-    eps_min = eps_sorted[-1]
-    cfg_min = with_eps(config, eps_min)
-    g_min = grid_for_eps(cfg_min, eps_min, points_per_dim)
-    auto = AutonomousConfig(mu=-config.potential.V0, frac=config.frac,
-                            nonlin=config.nonlin)
-    d_res = autonomous_ground_state(auto, g_min, tolerances=tolerances,
-                                    restarts=1, seed=seed)
-    d_val = d_res.energy
-
-    nonincreasing = all(
-        levels[i + 1] <= levels[i] * (1.0 + agreement_rtol)
-        for i in range(len(levels) - 1)
-    )
-    final_ok = levels[-1] <= (1.0 + slack) * d_val
-    c_star = mp_threshold(config)
-    return {
-        "eps": eps_sorted,
-        "c_eps": levels,
-        "trusted": trusted,
-        "d_V0": d_val,
-        "d_converged": d_res.converged,
-        "c_star": c_star,
-        "levels_below_threshold": bool(all(c < c_star for c in levels) and d_val < c_star),
-        "nonincreasing": bool(nonincreasing),
-        "final_within_slack": bool(final_ok),
-    }

@@ -29,9 +29,9 @@ from frns.operator import (
     norm_l2,
 )
 from frns.extension import conormal_derivative, extend
-from frns.model import energy, energy_gradient
 from frns.solver import (
     AutonomousConfig,
+    NehariProblem,
     autonomous_ground_state,
     concentration_sweep,
     decay_fit,
@@ -182,21 +182,17 @@ def test_criterion_06_trace_constant_estimate(capsys):
 
 
 def test_criterion_07_gradient_correctness(capsys, default_config):
-    cfg = default_config
+    # the energy and gradient that the descent in `frns solve` runs
     grid = Grid(2, 64, 12.0)
-    table = build_symbol(grid, cfg.frac)
+    problem = NehariProblem.penalized(default_config, grid)
     rng = np.random.default_rng(7)
     worst = 0.0
     for _ in range(20):
-        u = Field(grid=grid, values=np.abs(rng.standard_normal(grid.shape)))
+        u = np.abs(rng.standard_normal(grid.shape))
         v = rng.standard_normal(grid.shape)
         d = 1e-6
-        up = Field(grid=grid, values=u.values + d * v)
-        um = Field(grid=grid, values=u.values - d * v)
-        fd = (energy(cfg, up, table) - energy(cfg, um, table)) / (2.0 * d)
-        pairing = grid.spacing**2 * float(
-            np.sum(energy_gradient(cfg, u, table).values * v)
-        )
+        fd = (problem.energy(u + d * v) - problem.energy(u - d * v)) / (2.0 * d)
+        pairing = grid.spacing**2 * float(np.sum(problem.gradient(u) * v))
         worst = max(worst, abs(pairing - fd) / max(abs(fd), 1e-300))
     ok = worst <= 1e-6
     report(capsys, 7, f"gradient vs central differences (worst rel {worst:.2e})", ok)

@@ -106,10 +106,44 @@ class TestExitCodes:
         p = write_cfg(tmp_path, bad)
         assert main(["sstar", "--config", p, "--out", str(tmp_path / "o")]) == EXIT_INVALID
 
+    @pytest.mark.parametrize("line, bad", [
+        ("eps = 0.25", "eps = inf"),
+        ("frac.m = 1.0", "frac.m = inf"),
+        ("frac.n_dim = 2", "frac.n_dim = inf"),
+        ("sweep.eps = 0.5, 0.25, 0.1", "sweep.eps = 0.5, nan, 0.1"),
+        ("potential.lambda_center = 0 0", "potential.lambda_center = 0 -inf"),
+    ], ids=["eps", "frac.m", "int", "list", "point"])
+    def test_non_finite_value_is_a_parse_error(self, tmp_path, capsys, line, bad):
+        text = open(CFG_2D).read()
+        assert line in text
+        p = write_cfg(tmp_path, text.replace(line, bad))
+        assert main(["validate", "--config", p]) == EXIT_PARSE
+        assert "not a finite number" in capsys.readouterr().err
+
+    def test_solve_with_empty_start_is_a_numerical_failure(self, tmp_path, capsys):
+        # at eps = 0.01 the well sits at x = -100, so on [-5, 5)^2 the
+        # starting bump underflows to zero and has no Nehari scale
+        text = open(CFG_2D).read().replace("eps = 0.25", "eps = 0.01")
+        p = write_cfg(tmp_path, text + "grid.half_length = 5\n")
+        assert main(["validate", "--config", p]) == EXIT_PASS
+        code = main(["solve", "--config", p, "--out", str(tmp_path / "o")])
+        assert code == EXIT_NUMERICAL
+        err = capsys.readouterr().err
+        assert err.startswith("numerical failure:")
+        assert "Traceback" not in err
+        assert err.count("\n") == 1
+
     def test_sweep_needs_three_eps(self, tmp_path):
         code = main([
             "sweep", "--config", CFG_2D, "--out", str(tmp_path / "o"),
             "--eps", "0.5", "0.25",
+        ])
+        assert code == EXIT_INVALID
+
+    def test_sweep_rejects_non_finite_eps(self, tmp_path):
+        code = main([
+            "sweep", "--config", CFG_2D, "--out", str(tmp_path / "o"),
+            "--eps", "0.5", "nan", "0.1",
         ])
         assert code == EXIT_INVALID
 
@@ -125,7 +159,7 @@ class TestKernels:
         assert all(r[-1] == "true" for r in body)
 
     def test_corrupted_sigma_fails(self, tmp_path, monkeypatch):
-        monkeypatch.setattr(cli, "_sigma_override", 0.5)
+        monkeypatch.setattr(cli, "sigma_s", lambda s: 0.5)
         out = str(tmp_path / "k")
         assert main(["kernels", "--config", CFG_2D, "--out", out]) == EXIT_NUMERICAL
 

@@ -1,5 +1,6 @@
 """Model layer: potential family, penalized nonlinearity, threshold root,
-energy and its gradient."""
+and the energy and gradient that the solver's problem object builds
+from them."""
 
 import numpy as np
 import pytest
@@ -7,7 +8,7 @@ from scipy.integrate import quad
 from scipy.optimize import bisect
 
 from frns.specfun import FracParams
-from frns.operator import Field, Grid, build_symbol
+from frns.operator import Grid
 from frns.model import (
     AssumptionError,
     ModelConfig,
@@ -15,14 +16,13 @@ from frns.model import (
     PenalizationSpec,
     PotentialSpec,
     G_eval,
-    energy,
-    energy_gradient,
     g_eval,
     lambda_mask,
     potential_on_grid,
     solve_penalization_threshold,
     validate_config,
 )
+from frns.solver import AutonomousConfig, NehariProblem
 
 
 FRAC = FracParams(s=0.5, m=1.0, n_dim=2)
@@ -178,32 +178,33 @@ class TestPenalizedNonlinearity:
 
 class TestEnergyAndGradient:
     def test_gradient_matches_directional_derivative(self):
-        cfg = default_config()
         grid = Grid(2, 64, 12.0)
-        table = build_symbol(grid, cfg.frac)
+        problems = (
+            NehariProblem.penalized(default_config(), grid),
+            NehariProblem.autonomous(AutonomousConfig(mu=-0.2, frac=FRAC, nonlin=NL), grid),
+        )
         rng = np.random.default_rng(42)
-        for _ in range(5):
-            u = Field(grid=grid, values=np.abs(rng.standard_normal(grid.shape)))
-            v = rng.standard_normal(grid.shape)
-            d = 1e-6
-            up = Field(grid=grid, values=u.values + d * v)
-            um = Field(grid=grid, values=u.values - d * v)
-            fd = (energy(cfg, up, table) - energy(cfg, um, table)) / (2 * d)
-            grad = energy_gradient(cfg, u, table)
-            pairing = grid.spacing**2 * np.sum(grad.values * v)
-            assert pairing == pytest.approx(fd, rel=1e-6)
+        for problem in problems:
+            for _ in range(5):
+                u = np.abs(rng.standard_normal(grid.shape))
+                v = rng.standard_normal(grid.shape)
+                d = 1e-6
+                fd = (problem.energy(u + d * v) - problem.energy(u - d * v)) / (2 * d)
+                pairing = grid.spacing**2 * np.sum(problem.gradient(u) * v)
+                assert pairing == pytest.approx(fd, rel=1e-6)
 
     def test_mountain_pass_geometry_along_a_ray(self):
         # J(t u) rises from 0, peaks, then goes to -infinity
-        cfg = default_config()
         grid = Grid(2, 64, 12.0)
-        table = build_symbol(grid, cfg.frac)
+        problem = NehariProblem.penalized(default_config(), grid)
         r2 = grid.radii(center=(-4.0, 0.0)) ** 2
-        u = Field(grid=grid, values=np.exp(-r2 / 2.0))
+        u = np.exp(-r2 / 2.0)
         ts = np.linspace(0.01, 8.0, 120)
-        vals = [energy(cfg, Field(grid=grid, values=t * u.values), table)
-                for t in ts]
-        vals = np.array(vals)
+        vals = np.array([problem.energy(t * u) for t in ts])
+        # J(t u) from the quadratic form of u alone matches the direct value
+        quad = problem.quadratic(u)
+        scaled = np.array([problem.energy(u, quad, t) for t in ts])
+        assert np.allclose(scaled, vals, rtol=1e-12, atol=0.0)
         assert vals[0] > 0.0
         assert np.max(vals) > vals[0]
         assert vals[-1] < 0.0

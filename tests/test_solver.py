@@ -16,6 +16,7 @@ from frns.model import (
 )
 from frns.solver import (
     AutonomousConfig,
+    NehariProblem,
     NoPositivePartError,
     SolveResult,
     Tolerances,
@@ -106,6 +107,12 @@ class TestGroundState:
         assert 0.0 < res.energy < mp_threshold(cfg)
         assert res.nehari_residual <= 1e-10
         assert res.grad_residual <= 1e-6
+
+    def test_energy_matches_direct_evaluation(self, solved):
+        # the descent tracks E as J(t u) from the quadratic form of u
+        cfg, grid, res = solved
+        direct = NehariProblem.penalized(cfg, grid).energy(res.field.values)
+        assert res.energy == pytest.approx(direct, rel=1e-12)
 
     def test_nonnegative_field(self, solved):
         _, _, res = solved
