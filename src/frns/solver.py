@@ -16,6 +16,7 @@ from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
 import numpy as np
+from scipy.fft import irfftn, rfftn
 from scipy.optimize import brentq
 
 from .operator import (
@@ -94,6 +95,11 @@ class NehariProblem:
     autonomous problem differ only in V and in the nonlinearity g (with
     primitive G); build them with `penalized` and `autonomous`.  Every
     method takes raw sample values on `grid`.
+
+    Both use the power model g(x, t) = lam t^(p-1) + t^(2*_s - 1) for
+    t > 0, replaced by slope * t outside `in_lambda` where t >= a; the
+    scalars below describe it for the per-candidate power sums
+    (`NehariMoments`), while `g` and `G` evaluate it pointwise.
     """
 
     grid: Grid
@@ -102,6 +108,11 @@ class NehariProblem:
     in_lambda: np.ndarray       # where the untruncated nonlinearity acts
     g: Callable                 # t -> g(x, t) on the grid
     G: Callable                 # its primitive in t
+    lam: float
+    p: float
+    two_star: float
+    a: float = np.inf           # truncation threshold outside in_lambda
+    slope: float = 0.0          # V1/kappa, slope of the truncated branch
 
     @classmethod
     def penalized(cls, config: ModelConfig, grid: Grid, table=None) -> "NehariProblem":
@@ -116,6 +127,11 @@ class NehariProblem:
             in_lambda=mask,
             g=lambda t: g_eval(config, mask, t),
             G=lambda t: G_eval(config, mask, t),
+            lam=config.nonlin.lam,
+            p=config.nonlin.p,
+            two_star=config.two_star,
+            a=config.pen.a,
+            slope=config.potential.V1 / config.pen.kappa,
         )
 
     @classmethod
@@ -140,6 +156,9 @@ class NehariProblem:
             in_lambda=np.ones(grid.shape, dtype=bool),
             g=g,
             G=G,
+            lam=nl.lam,
+            p=nl.p,
+            two_star=two_star,
         )
 
     @property
@@ -165,27 +184,22 @@ class NehariProblem:
         return Au.values + self.V * u_vals - self.g(u_vals)
 
     def nehari_scale(self, u_vals) -> tuple:
-        """(t, ||u||^2) for the unique t > 0 with <J'(t u), t u> = 0."""
-        if not np.any(np.logical_and(self.in_lambda, u_vals > 0.0)):
-            raise NoPositivePartError(
-                "field has no positive part inside the well region; no Nehari scale"
-            )
-        quad = self.quadratic(u_vals)
-        hN = self.cell_volume
+        """(t, J(t u)) for the unique t > 0 with <J'(t u), t u> = 0.
 
-        def mismatch(t):
-            # <J'(tu), tu>/t^2 = quad - sum g(x, tu) u h^N / t, nonincreasing in t
-            return quad - hN * float(np.sum(self.g(t * u_vals) * u_vals)) / t
-
+        The power sums of u are taken once (`NehariMoments`); each
+        evaluation of the mismatch in the root solve, and J(t u) at the
+        root, then costs O(log n) instead of passes over the grid.
+        """
+        m = NehariMoments(self, u_vals)
         lo = hi = 1.0
-        f_hi = mismatch(1.0)
+        f_hi = m.mismatch(1.0)
         if f_hi > 0.0:
             while f_hi > 0.0:
                 lo = hi
                 hi *= 2.0
                 if hi > 1e6:
                     raise NoBracketError("no Nehari bracket found scanning up to t = 1e6")
-                f_hi = mismatch(hi)
+                f_hi = m.mismatch(hi)
         else:
             f_lo = f_hi
             while f_lo <= 0.0:
@@ -193,15 +207,92 @@ class NehariProblem:
                 lo *= 0.5
                 if lo < 1e-12:
                     raise NoBracketError("no Nehari bracket found scanning down to t = 1e-12")
-                f_lo = mismatch(lo)
-        t = brentq(mismatch, lo, hi, xtol=1e-300, rtol=8.9e-16, maxiter=200)
-        return float(t), quad
+                f_lo = m.mismatch(lo)
+        t = brentq(m.mismatch, lo, hi, xtol=1e-300, rtol=8.9e-16, maxiter=200)
+        return float(t), m.energy(t)
 
     def nehari_residual(self, u_vals) -> float:
         """|<J'(u), u>| / ||u||^2."""
         quad = self.quadratic(u_vals)
         pairing = quad - self.cell_volume * float(np.sum(self.g(u_vals) * u_vals))
         return abs(pairing) / abs(quad)
+
+
+class NehariMoments:
+    """<J'(t u), t u>/t^2 and J(t u) of one candidate u, for every t > 0.
+
+    Where the full nonlinearity acts, g(x, t u) u / t = lam t^(p-2) u^p
+    + t^(2*-2) u^(2*); at the points outside Lambda_eps with t u >= a it
+    is slope * u^2 instead, and G follows the same split.  So the sums
+    of u^p and u^(2*) are taken once, and the outside values only need
+    sorting, with prefix sums, once some t makes the truncated branch
+    act (t * max(u outside) >= a); the linear set is then a tail of the
+    sorted values, found by one searchsorted at a/t.  Values u <= 0
+    contribute nothing, as g and G vanish there.
+    """
+
+    def __init__(self, problem: NehariProblem, u_vals):
+        # only u > 0 enters; leaving out the zeros also skips the slow
+        # path that pow takes for 0.0 ** p
+        pos = u_vals > 0.0
+        inside = u_vals[np.logical_and(pos, problem.in_lambda)]
+        if inside.size == 0:
+            raise NoPositivePartError(
+                "field has no positive part inside the well region; no Nehari scale"
+            )
+        self.problem = problem
+        self.quad = problem.quadratic(u_vals)
+        p, two_star = problem.p, problem.two_star
+        self.outside = u_vals[np.logical_and(pos, np.logical_not(problem.in_lambda))]
+        self.sum_p_in = float(np.sum(inside**p))
+        self.sum_s_in = float(np.sum(inside**two_star))
+        self.sum_p = self.sum_p_in + float(np.sum(self.outside**p))
+        self.sum_s = self.sum_s_in + float(np.sum(self.outside**two_star))
+        self.max_out = float(np.max(self.outside, initial=0.0))
+        self._sorted = None
+
+    def _split(self, t) -> tuple:
+        """(sum u^p, sum u^(2*)) over the full-nonlinearity points, and
+        (sum u^2, count) over the truncated ones, at scale t."""
+        pr = self.problem
+        if t * self.max_out < pr.a:
+            return self.sum_p, self.sum_s, 0.0, 0
+        if self._sorted is None:
+            w = np.sort(self.outside)
+            zero = np.zeros(1)
+            self._sorted = (
+                w,
+                np.concatenate((zero, np.cumsum(w**pr.p))),
+                np.concatenate((zero, np.cumsum(w**pr.two_star))),
+                np.concatenate((np.cumsum((w * w)[::-1])[::-1], zero)),
+            )
+        w, cum_p, cum_s, tail_2 = self._sorted
+        k = int(np.searchsorted(w, pr.a / t))
+        return (self.sum_p_in + cum_p[k], self.sum_s_in + cum_s[k],
+                tail_2[k], w.size - k)
+
+    def mismatch(self, t) -> float:
+        """<J'(t u), t u>/t^2 = ||u||^2 - sum g(x, t u) u h^N / t,
+        nonincreasing in t."""
+        pr = self.problem
+        sum_p, sum_s, sum_2, _ = self._split(t)
+        pairing = (pr.lam * t ** (pr.p - 2.0) * sum_p
+                   + t ** (pr.two_star - 2.0) * sum_s + pr.slope * sum_2)
+        return self.quad - pr.cell_volume * pairing
+
+    def energy(self, t) -> float:
+        """J(t u), with the closed-form linear branch of G past a."""
+        pr = self.problem
+        sum_p, sum_s, sum_2, n_lin = self._split(t)
+        G_sum = (pr.lam * t**pr.p * sum_p / pr.p
+                 + t**pr.two_star * sum_s / pr.two_star
+                 + 0.5 * pr.slope * t * t * sum_2)
+        if n_lin:
+            # G(x, s) = G(a) + slope (s^2 - a^2)/2 on the truncated branch
+            a = pr.a
+            G_sum += n_lin * (pr.lam * a**pr.p / pr.p + a**pr.two_star / pr.two_star
+                              - 0.5 * pr.slope * a * a)
+        return 0.5 * t * t * self.quad - pr.cell_volume * G_sum
 
 
 def nehari_scale(u: Field, config) -> float:
@@ -235,12 +326,12 @@ def _descend(problem: NehariProblem, init_vals: np.ndarray, tol: Tolerances):
     Returns (values, energy, iterations, converged).
     """
     u = np.maximum(init_vals, 0.0)
-    t0, _ = problem.nehari_scale(u)
+    t0, E = problem.nehari_scale(u)
     u = t0 * u
-    E = problem.energy(u)
 
-    # (symbol + shift) is the preconditioner; shift keeps it safely
-    # positive when V dips negative (V > -m^(2s) by the model invariants)
+    # (symbol + shift) on the half spectrum is the preconditioner; shift
+    # keeps it safely positive when V dips negative (V > -m^(2s) by the
+    # model invariants)
     shift = max(float(np.max(problem.V)), 0.0) + 0.1
     precond = 1.0 / (problem.table.symbol + shift)
 
@@ -255,7 +346,7 @@ def _descend(problem: NehariProblem, init_vals: np.ndarray, tol: Tolerances):
         if gres <= tol.grad:
             converged = True
             break
-        direction = np.real(np.fft.ifftn(np.fft.fftn(pg) * precond))
+        direction = irfftn(rfftn(pg) * precond, s=pg.shape)
         # two-metric projection: near the active set the smoothing
         # preconditioner can point into the constraint and lift nearly
         # clipped points whose full gradient is positive, turning the
@@ -267,11 +358,10 @@ def _descend(problem: NehariProblem, init_vals: np.ndarray, tol: Tolerances):
         for _ in range(40):
             cand = np.maximum(u - step * direction, 0.0)
             try:
-                t, cand_quad = problem.nehari_scale(cand)
+                t, E_new = problem.nehari_scale(cand)
             except (NoPositivePartError, NoBracketError):
                 step *= 0.5
                 continue
-            E_new = problem.energy(cand, cand_quad, t)
             if E_new < E - 1e-16 * abs(E):
                 u = t * cand
                 E = E_new
@@ -603,8 +693,9 @@ def concentration_sweep(
 
     Each row records the energy, the mountain-pass threshold, the
     rescaled argmax distance to the well set M, the decay-fit rate and
-    the penalization check.  Solver failures are recorded per row and
-    the sweep continues.
+    the penalization check.  Numerical and domain failures of a solve
+    are recorded in its row and the sweep continues; other exceptions
+    (programming errors) propagate.
     """
     rows = []
 
@@ -642,7 +733,8 @@ def concentration_sweep(
                 below_threshold=region["below_threshold"],
                 error=None,
             )
-        except Exception as exc:  # per-eps failures recorded, sweep continues
+        except (DomainError, AssumptionError, NoPositivePartError, NoBracketError,
+                ArithmeticError) as exc:  # numerical failures recorded, sweep continues
             row.update(converged=False, error=f"{type(exc).__name__}: {exc}")
         return i, row
 

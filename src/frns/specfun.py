@@ -11,7 +11,6 @@ All functions are pure and re-entrant.
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import quad
 from scipy.special import gamma as Gamma
 from scipy.special import kv
 
@@ -145,6 +144,7 @@ def kappa_s(s, rtol=1e-9):
     """
     if not 0.0 < s < 1.0:
         raise DomainError(f"s must lie in (0, 1), got {s}")
+    from scipy.integrate import quad  # 40-60 ms to import; only kappa_s needs it
 
     def integrand(y):
         t = theta_profile(s, y)

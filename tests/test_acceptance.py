@@ -34,13 +34,10 @@ from frns.solver import (
     NehariProblem,
     autonomous_ground_state,
     concentration_sweep,
-    decay_fit,
-    dist_to_wells,
     estimate_s_star,
     grid_for_eps,
     ground_state,
     mp_threshold,
-    verify_solution_region,
 )
 from frns.cli import build_config, load_config, main as cli_main
 

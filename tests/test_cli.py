@@ -3,6 +3,8 @@
 import csv
 import json
 import os
+import subprocess
+import sys
 
 import pytest
 
@@ -35,6 +37,16 @@ def read_rows(path):
         first = f.readline()
         assert first.startswith("# config-hash: ")
         return list(csv.reader(f))
+
+
+def test_import_leaves_scipy_integrate_unloaded():
+    # scipy.integrate costs 40-60 ms to import; only kappa_s and the
+    # singular-integral check use it, and they import it themselves
+    code = "import sys, frns.cli; print('scipy.integrate' in sys.modules)"
+    env = dict(os.environ, PYTHONPATH=os.path.join(REPO, "src"))
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True, timeout=60)
+    assert out.stdout.strip() == "False"
 
 
 class TestConfigParsing:

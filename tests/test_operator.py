@@ -95,12 +95,18 @@ class TestSpectralIdentities:
             assert q >= 1.5 ** (2 * 0.6) * inner(u, u) * (1 - 1e-12)
 
     def test_quadratic_form_matches_inner(self):
-        grid, params, table = make()
+        # also against h^N/n^N sum symbol |u_hat|^2 over the full spectrum,
+        # which checks the half-spectrum multiplicities (Nyquist included)
         rng = np.random.default_rng(3)
-        u = Field(grid=grid, values=rng.standard_normal(grid.shape))
-        assert operator_quadratic_form(u, table) == pytest.approx(
-            inner(apply_operator(u, table), u), rel=1e-12
-        )
+        for n_dim, s in ((2, 0.5), (1, 0.25)):
+            grid, params, table = make(n_dim=n_dim, s=s)
+            u = Field(grid=grid, values=rng.standard_normal(grid.shape))
+            q = operator_quadratic_form(u, table)
+            assert q == pytest.approx(inner(apply_operator(u, table), u), rel=1e-12)
+            full_symbol = (grid.k_squared() + params.m**2) ** params.s
+            w = grid.spacing**n_dim / grid.total_points
+            full = w * np.sum(full_symbol * np.abs(np.fft.fftn(u.values)) ** 2)
+            assert q == pytest.approx(full, rel=1e-12)
 
     def test_mode_quadratic_form_value(self):
         # Q(cos kx) = (|k|^2 + m^2)^s Vol/2 for a resolved mode

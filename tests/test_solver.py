@@ -16,11 +16,13 @@ from frns.model import (
 )
 from frns.solver import (
     AutonomousConfig,
+    NehariMoments,
     NehariProblem,
+    NoBracketError,
     NoPositivePartError,
     SolveResult,
-    Tolerances,
     autonomous_ground_state,
+    concentration_sweep,
     decay_fit,
     default_init,
     dist_to_wells,
@@ -91,6 +93,36 @@ class TestNehariScale:
         B = hN * float(np.sum(vals**4))
         root = (-A + np.sqrt(A * A + 4.0 * B * Q)) / (2.0 * B)
         assert t == pytest.approx(root, rel=1e-12)
+
+    def test_moments_match_pointwise(self):
+        # the moment mismatch and J(t u) against the grid sums, at t where
+        # the truncated set outside Lambda_eps is empty, partial and full
+        cfg = default_config()
+        grid = Grid(2, 64, 18.0)
+        penalized = NehariProblem.penalized(cfg, grid)
+        autonomous = NehariProblem.autonomous(
+            AutonomousConfig(mu=-0.2, frac=FRAC, nonlin=NL), grid)
+        a, outside = cfg.pen.a, ~penalized.in_lambda
+        rng = np.random.default_rng(9)
+        u = gaussian_bump(grid, (-4.0, 0.0))
+        # outside Lambda_eps: values in [a/2, 4a] on a third of the points,
+        # negative values (which must not count) on another third, zeros
+        draw = rng.uniform(0.5 * a, 4.0 * a, grid.shape)
+        pick = rng.integers(0, 3, grid.shape)
+        u[outside] = np.choose(pick, (draw, -draw, 0.0))[outside]
+        w = u[outside & (u > 0.0)]
+        ts = (0.5 * a / w.max(), a / np.median(w), 1.01 * a / w.min())
+        linear = [int(np.sum(outside & (t * u >= a))) for t in ts]
+        assert linear[0] == 0 and 0 < linear[1] < w.size and linear[2] == w.size
+        hN = grid.spacing**2
+        for problem in (penalized, autonomous):
+            moments = NehariMoments(problem, u)
+            quad = problem.quadratic(u)
+            for t in ts:
+                pointwise = quad - hN * float(np.sum(problem.g(t * u) * u)) / t
+                assert moments.mismatch(t) == pytest.approx(pointwise, rel=1e-12)
+                assert moments.energy(t) == pytest.approx(
+                    problem.energy(u, quad, t), rel=1e-12)
 
     def test_rejects_nonpositive_field(self):
         cfg = default_config()
@@ -235,6 +267,23 @@ class TestSweepHelpers:
         cfg2 = with_eps(cfg, 0.1)
         assert cfg2.eps == 0.1
         assert cfg2.potential is cfg.potential
+
+    def test_sweep_records_only_numerical_failures(self, monkeypatch):
+        import frns.solver as solver
+
+        def no_bracket(*args, **kwargs):
+            raise NoBracketError("no Nehari bracket")
+
+        def bug(*args, **kwargs):
+            raise TypeError("a programming error")
+
+        monkeypatch.setattr(solver, "ground_state", no_bracket)
+        (row,) = concentration_sweep(default_config(), (0.5,), points_per_dim=32)
+        assert row["converged"] is False
+        assert row["error"] == "NoBracketError: no Nehari bracket"
+        monkeypatch.setattr(solver, "ground_state", bug)
+        with pytest.raises(TypeError):
+            concentration_sweep(default_config(), (0.5,), points_per_dim=32)
 
     def test_dist_to_wells(self):
         assert dist_to_wells((4.0, 0.0), ((4.0, 0.0), (-4.0, 0.0))) == 0.0
