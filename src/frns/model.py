@@ -14,9 +14,8 @@ half-space only appears in the extension module.
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import brentq
 
-from .specfun import FracParams
+from .specfun import FracParams, brentq
 
 
 class AssumptionError(ValueError):

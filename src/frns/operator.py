@@ -3,7 +3,7 @@
 The box [-L, L)^N stands in for R^N: decaying functions are truncated
 periodically and the operator acts mode by mode through the symbol
 (|k|^2 + m^2)^s.  Fields are real, so the spectral path uses real FFTs
-(scipy.fft.rfftn / irfftn) and tabulates the symbol on the half
+(numpy.fft.rfftn / irfftn) and tabulates the symbol on the half
 spectrum only: the last axis keeps the modes 0..n/2, whose complex
 conjugates are the rest of the spectrum.  A direct principal-value
 quadrature of the singular-integral form is kept (1D only) as an
@@ -12,9 +12,10 @@ Bessel-kernel pair gives the Green-function view.
 """
 
 from dataclasses import dataclass, field
+from math import gamma as Gamma
 
 import numpy as np
-from scipy.fft import irfftn, rfftn
+from numpy.fft import irfftn, rfftn
 
 from .specfun import DomainError, FracParams, bessel_k, kernel_constants
 
@@ -87,6 +88,12 @@ class Grid:
             acc += k * k
         return acc
 
+    def half_k_squared(self) -> np.ndarray:
+        """|k|^2 on the half spectrum, the shape of rfftn of a field."""
+        # on the last axis the full lattice runs 0, 1, .., n/2 - 1, -n/2, ..;
+        # its first n/2 + 1 entries have the |k| of the rfft modes 0..n/2
+        return self.k_squared()[..., : self.points_per_dim // 2 + 1]
+
 
 @dataclass(frozen=True)
 class Field:
@@ -137,10 +144,7 @@ def build_symbol(grid: Grid, params: FracParams) -> KernelTable:
     """Tabulate (|k|^2 + m^2)^s on the half-spectrum frequency lattice."""
     if params.n_dim != grid.n_dim:
         raise GridMismatchError("params.n_dim does not match grid.n_dim")
-    # on the last axis the full lattice runs 0, 1, .., n/2 - 1, -n/2, ..;
-    # its first n/2 + 1 entries have the |k| of the rfft modes 0..n/2
-    half = grid.k_squared()[..., : grid.points_per_dim // 2 + 1]
-    sym = (half + params.m**2) ** params.s
+    sym = (grid.half_k_squared() + params.m**2) ** params.s
     return KernelTable(grid=grid, params=params, symbol=sym)
 
 
@@ -151,24 +155,31 @@ def apply_operator(u: Field, table: KernelTable) -> Field:
     the quadratic form <Au, u> is the discrete H^s norm squared.
     """
     u.check_same_grid(table.grid)
-    out = irfftn(table.symbol * rfftn(u.values), s=u.grid.shape)
-    return Field(grid=u.grid, values=out)
+    g = u.grid
+    out = irfftn(table.symbol * rfftn(u.values), s=g.shape, axes=range(g.n_dim))
+    return Field(grid=g, values=out)
+
+
+def spectral_sum(weight, values):
+    """sum_k weight(k) |values_hat(k)|^2 over the full spectrum, by one rfftn.
+
+    `weight` is even in k and given on the half spectrum; the sum runs
+    over it with the modes 1..n/2 - 1 of the last axis standing for
+    themselves and their conjugates (weight 2), the modes 0 and n/2
+    only for themselves (weight 1).
+    """
+    vhat = rfftn(values)
+    spec = weight * (vhat.real**2 + vhat.imag**2)
+    return 2.0 * np.sum(spec) - np.sum(spec[..., 0]) - np.sum(spec[..., -1])
 
 
 def operator_quadratic_form(u: Field, table: KernelTable) -> float:
-    """<Au, u> = h^N/n^N sum_k symbol |u_hat|^2, computed in k-space.
-
-    The sum runs over the half spectrum: the modes 1..n/2 - 1 of the
-    last axis stand for themselves and their conjugates (weight 2), the
-    modes 0 and n/2 only for themselves (weight 1).
-    """
+    """<Au, u> = h^N/n^N sum_k symbol |u_hat|^2, computed in k-space
+    (`spectral_sum`)."""
     u.check_same_grid(table.grid)
     g = u.grid
-    uhat = rfftn(u.values)
-    spec = table.symbol * (uhat.real**2 + uhat.imag**2)
-    total = 2.0 * np.sum(spec) - np.sum(spec[..., 0]) - np.sum(spec[..., -1])
     w = g.spacing**g.n_dim / g.total_points
-    return float(w * total)
+    return float(w * spectral_sum(table.symbol, u.values))
 
 
 def solve_resolvent(mu: Field, table: KernelTable) -> Field:
@@ -178,8 +189,9 @@ def solve_resolvent(mu: Field, table: KernelTable) -> Field:
     well posed and apply_operator(z) recovers mu to round-off.
     """
     mu.check_same_grid(table.grid)
-    out = irfftn(rfftn(mu.values) / table.symbol, s=mu.grid.shape)
-    return Field(grid=mu.grid, values=out)
+    g = mu.grid
+    out = irfftn(rfftn(mu.values) / table.symbol, s=g.shape, axes=range(g.n_dim))
+    return Field(grid=g, values=out)
 
 
 def bessel_kernel(params: FracParams, r):
@@ -191,8 +203,6 @@ def bessel_kernel(params: FracParams, r):
     Positive, radially symmetric, ~ r^(2s-N) at the origin and
     exponentially decaying at infinity.
     """
-    from scipy.special import gamma as Gamma
-
     r = np.asarray(r, dtype=float)
     if np.any(r <= 0.0):
         raise DomainError("bessel_kernel is singular at r = 0; need r > 0")

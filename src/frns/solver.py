@@ -16,8 +16,7 @@ from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
 import numpy as np
-from scipy.fft import irfftn, rfftn
-from scipy.optimize import brentq
+from numpy.fft import irfftn, rfftn
 
 from .operator import (
     Field,
@@ -26,6 +25,7 @@ from .operator import (
     apply_operator,
     build_symbol,
     operator_quadratic_form,
+    spectral_sum,
 )
 from .model import (
     AssumptionError,
@@ -36,7 +36,7 @@ from .model import (
     lambda_mask,
     potential_on_grid,
 )
-from .specfun import DomainError, FracParams, sigma_s, sobolev_trace_constant
+from .specfun import DomainError, FracParams, brentq, sigma_s, sobolev_trace_constant
 
 
 class NoPositivePartError(ValueError):
@@ -346,7 +346,7 @@ def _descend(problem: NehariProblem, init_vals: np.ndarray, tol: Tolerances):
         if gres <= tol.grad:
             converged = True
             break
-        direction = irfftn(rfftn(pg) * precond, s=pg.shape)
+        direction = irfftn(rfftn(pg) * precond, s=pg.shape, axes=range(pg.ndim))
         # two-metric projection: near the active set the smoothing
         # preconditioner can point into the constraint and lift nearly
         # clipped points whose full gradient is positive, turning the
@@ -512,7 +512,7 @@ def estimate_s_star(
         rho_values = np.geomspace(0.02, 2.0, 16)
     two_star = 2.0 * N / (N - 2.0 * s)
     hN = grid.spacing**grid.n_dim
-    k2s = grid.k_squared() ** s
+    k2s = grid.half_k_squared() ** s
     w = hN / grid.total_points
     r = grid.radii()
     L = grid.half_length
@@ -523,7 +523,7 @@ def estimate_s_star(
     quotients = []
     for rho in rho_values:
         u = (rho / (r**2 + rho**2)) ** ((N - 2.0 * s) / 2.0) * cut
-        num = sig * w * float(np.sum(k2s * np.abs(np.fft.fftn(u)) ** 2))
+        num = sig * w * float(spectral_sum(k2s, u))
         den = (hN * float(np.sum(np.abs(u) ** two_star))) ** (2.0 / two_star)
         quotients.append(num / den)
     quotients = np.asarray(quotients)

@@ -2,17 +2,21 @@
 fractional operator (-Delta + m^2)^s.
 
 Everything here is scalar math: the modified Bessel function K_nu, the
-radial extension profile theta(r) = (2/Gamma(s)) (r/2)^s K_s(r), and the
+radial extension profile theta(r) = (2/Gamma(s)) (r/2)^s K_s(r), the
 Gamma-function constants (sigma_s, kappa_s, the sharp trace-Sobolev
-constant, and the singular-integral / Poisson-kernel normalizations).
-All functions are pure and re-entrant.
+constant, and the singular-integral / Poisson-kernel normalizations),
+and Brent's root finder.  All functions are pure and re-entrant.
+
+The Gamma constants use math.gamma; scipy (K_nu and quadrature) is
+imported only inside the functions that need it, so the solver path
+loads numpy alone.
 """
 
+import math
 from dataclasses import dataclass
+from math import gamma as Gamma
 
 import numpy as np
-from scipy.special import gamma as Gamma
-from scipy.special import kv
 
 
 class DomainError(ValueError):
@@ -58,6 +62,8 @@ def bessel_k(nu, x):
     Delegates to scipy's AMOS-based evaluation, which meets the 1e-10
     relative accuracy contract on nu in [0, 10], x in [1e-6, 50].
     """
+    from scipy.special import kv
+
     x = np.asarray(x, dtype=float)
     if np.any(x <= 0.0):
         raise DomainError("bessel_k requires x > 0 (K_nu diverges at 0)")
@@ -71,6 +77,8 @@ def theta_profile(s, r):
     theta(0) = 1 is taken as the limiting value; theta decreases
     monotonically to 0 as r -> infinity.
     """
+    from scipy.special import kv
+
     if not 0.0 < s < 1.0:
         raise DomainError(f"s must lie in (0, 1), got {s}")
     r = np.asarray(r, dtype=float)
@@ -95,6 +103,8 @@ def theta_profile_deriv(s, r):
     the recurrence K_s'(r) = -(K_{s-1} + K_{s+1})/2 and
     K_{s+1}(r) = K_{s-1}(r) + (2s/r) K_s(r).
     """
+    from scipy.special import kv
+
     if not 0.0 < s < 1.0:
         raise DomainError(f"s must lie in (0, 1), got {s}")
     r = np.asarray(r, dtype=float)
@@ -214,3 +224,67 @@ def kernel_constants(params: FracParams) -> KernelConstants:
     p_Ns = np.pi ** (-N / 2.0) * Gamma((N + 2.0 * s) / 2.0) / Gamma(s)
     c_prime_Ns = p_Ns * 2.0 ** ((N + 2.0 * s) / 2.0 - 1.0) / Gamma((N + 2.0 * s) / 2.0)
     return KernelConstants(C_Ns=float(C_Ns), p_Ns=float(p_Ns), c_prime_Ns=float(c_prime_Ns))
+
+
+def brentq(f, a, b, xtol=2e-12, rtol=8.881784197001252e-16, maxiter=100):
+    """Root of f in the bracket [a, b] by Brent's method (Brent,
+    *Algorithms for Minimization without Derivatives*, 1973, ch. 4).
+
+    A line-for-line port of scipy.optimize.brentq (its brentq.c), so the
+    iterates and the root are the same to the last bit: inverse
+    quadratic interpolation or secant steps, falling back to bisection,
+    until the bracket is below xtol + rtol |x|.  An endpoint where f is
+    exactly zero is returned as is.  Raises ValueError if f(a) and f(b)
+    have the same sign or f returns nan, and RuntimeError if maxiter
+    iterations do not converge.
+    """
+    def call(x):
+        fx = float(f(x))
+        if math.isnan(fx):
+            raise ValueError(f"the function value at x={x} is nan; brentq cannot continue")
+        return fx
+
+    xpre, xcur = float(a), float(b)
+    xblk = fblk = spre = scur = 0.0
+    fpre, fcur = call(xpre), call(xcur)
+    if fpre == 0.0:
+        return xpre
+    if fcur == 0.0:
+        return xcur
+    if (fpre < 0.0) == (fcur < 0.0):
+        raise ValueError("f(a) and f(b) must have different signs")
+    for _ in range(maxiter):
+        if fpre != 0.0 and fcur != 0.0 and (fpre < 0.0) != (fcur < 0.0):
+            xblk, fblk = xpre, fpre
+            spre = scur = xcur - xpre
+        if abs(fblk) < abs(fcur):
+            xpre, xcur, xblk = xcur, xblk, xcur
+            fpre, fcur, fblk = fcur, fblk, fcur
+        # the tolerance is 2 * delta
+        delta = (xtol + rtol * abs(xcur)) / 2.0
+        sbis = (xblk - xcur) / 2.0
+        if fcur == 0.0 or abs(sbis) < delta:
+            return xcur
+        if abs(spre) > delta and abs(fcur) < abs(fpre):
+            if xpre == xblk:
+                # interpolate
+                stry = -fcur * (xcur - xpre) / (fcur - fpre)
+            else:
+                # extrapolate
+                dpre = (fpre - fcur) / (xpre - xcur)
+                dblk = (fblk - fcur) / (xblk - xcur)
+                stry = -fcur * (fblk * dblk - fpre * dpre) / (dblk * dpre * (fblk - fpre))
+            if 2.0 * abs(stry) < min(abs(spre), 3.0 * abs(sbis) - delta):
+                # good short step
+                spre, scur = scur, stry
+            else:
+                spre = scur = sbis
+        else:
+            spre = scur = sbis
+        xpre, fpre = xcur, fcur
+        if abs(scur) > delta:
+            xcur += scur
+        else:
+            xcur += delta if sbis > 0.0 else -delta
+        fcur = call(xcur)
+    raise RuntimeError(f"brentq failed to converge after {maxiter} iterations, value is {xcur}")

@@ -39,14 +39,48 @@ def read_rows(path):
         return list(csv.reader(f))
 
 
-def test_import_leaves_scipy_integrate_unloaded():
-    # scipy.integrate costs 40-60 ms to import; only kappa_s and the
-    # singular-integral check use it, and they import it themselves
-    code = "import sys, frns.cli; print('scipy.integrate' in sys.modules)"
+# Runs the CLI with the given arguments (none: import only) in a fresh
+# interpreter and prints the exit code and the scipy modules then loaded.
+SCIPY_PROBE = """
+import sys
+import frns.cli
+rc = frns.cli.main(sys.argv[1:]) if sys.argv[1:] else 0
+print(rc, *sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy.")))
+"""
+
+
+def run_scipy_probe(*argv):
+    """(exit code, loaded scipy modules) of `frns *argv` in a fresh interpreter."""
     env = dict(os.environ, PYTHONPATH=os.path.join(REPO, "src"))
-    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
-                         capture_output=True, text=True, timeout=60)
-    assert out.stdout.strip() == "False"
+    out = subprocess.run([sys.executable, "-c", SCIPY_PROBE, *argv], env=env,
+                         check=True, capture_output=True, text=True, timeout=120)
+    rc, *loaded = out.stdout.splitlines()[-1].split()
+    return int(rc), loaded
+
+
+class TestScipyStaysUnloaded:
+    # importing scipy.fft, .special or .optimize costs about 0.6 s; only
+    # `kernels` (Bessel K and quadrature) imports scipy, inside specfun
+
+    def test_import_loads_no_scipy(self):
+        assert run_scipy_probe() == (EXIT_PASS, [])
+
+    @pytest.mark.parametrize("command", ["validate", "sstar", "solve"])
+    def test_command_loads_no_scipy(self, command, tmp_path):
+        argv = [command, "--config", CFG_1D]
+        if command == "solve":
+            text = open(CFG_2D).read().replace(
+                "grid.points_per_dim = 128", "grid.points_per_dim = 64")
+            argv = [command, "--config", write_cfg(tmp_path, text)]
+        if command != "validate":
+            argv += ["--out", str(tmp_path / "out")]
+        assert run_scipy_probe(*argv) == (EXIT_PASS, [])
+
+    def test_kernels_passes_with_scipy(self, tmp_path):
+        rc, loaded = run_scipy_probe(
+            "kernels", "--config", CFG_1D, "--out", str(tmp_path / "out"))
+        assert rc == EXIT_PASS
+        assert {"scipy.special", "scipy.integrate"} <= set(loaded)
 
 
 class TestConfigParsing:
@@ -87,6 +121,15 @@ class TestConfigParsing:
         p = write_cfg(tmp_path, "# rearranged\n" + "\n".join(reversed(lines)) + "\n")
         raw2 = load_config(p)
         assert config_hash(raw1) == config_hash(raw2)
+
+    def test_hash_ignores_new_optional_schema_key(self, monkeypatch):
+        # only the keys a file sets are hashed, so a schema that grows an
+        # optional key keeps the hash of an unchanged config
+        before = config_hash(load_config(CFG_2D))
+        monkeypatch.setitem(cli._SCHEMA, "solver.new_option", ("int", False, 7))
+        raw = load_config(CFG_2D)
+        assert config_hash(raw) == before
+        build_config(raw)
 
 
 class TestExitCodes:
