@@ -8,7 +8,6 @@ loudly.  Exit codes: 0 pass, 1 numerical failure, 2 invalid parameters,
 """
 
 import argparse
-import csv
 import hashlib
 import json
 import math
@@ -50,14 +49,12 @@ from .solver import (
     NoPositivePartError,
     Tolerances,
     autonomous_ground_state,
-    decay_fit,
     estimate_s_star,
     concentration_sweep,
     grid_for_eps,
     ground_state,
-    mp_threshold,
     shell_envelope,
-    verify_solution_region,
+    solve_report,
 )
 
 EXIT_PASS = 0
@@ -102,7 +99,6 @@ _SCHEMA = {
     "solver.restarts": ("int", False, 3),
     "sweep.eps": ("float_list", False, (0.5, 0.25, 0.1)),
     "sweep.points_per_dim": ("int", False, 256),
-    "sweep.jobs": ("int", False, 0),  # 0 = machine cores
 }
 
 
@@ -200,7 +196,6 @@ class RunSettings:
     restarts: int
     sweep_eps: tuple
     sweep_points_per_dim: int
-    sweep_jobs: int
 
 
 def build_config(raw):
@@ -243,7 +238,6 @@ def build_config(raw):
         restarts=raw["solver.restarts"],
         sweep_eps=raw["sweep.eps"],
         sweep_points_per_dim=raw["sweep.points_per_dim"],
-        sweep_jobs=raw["sweep.jobs"] or (os.cpu_count() or 1),
     )
     return cfg, settings
 
@@ -257,27 +251,35 @@ def _grid_for(cfg, settings) -> Grid:
 # ---------------------------------------------------------------------------
 # artifact emission
 
-def _fmt(value) -> str:
-    if isinstance(value, bool):
-        return "true" if value else "false"
+def _column_format(value) -> str:
+    """printf conversion of a column whose values have the kind of `value`."""
+    if isinstance(value, (bool, np.bool_, str)):
+        return "%s"
     if isinstance(value, (int, np.integer)):
-        return str(int(value))
-    if isinstance(value, (float, np.floating)):
-        return f"{float(value):.17g}"
-    return str(value)
+        return "%d"
+    return "%.17g"
 
 
 def write_csv(path, header, rows, cfg_hash):
-    """RFC-4180 CSV with a leading config-hash comment line.
+    """CSV with a leading config-hash comment line, streamed row by row.
 
-    Floats carry 17 significant digits so reruns are bit-comparable.
+    Each column is formatted by the kind of its first-row value: bools
+    as true/false, ints as ints, strings as given and floats with 17
+    significant digits, so reruns are bit-comparable.  No field is
+    quoted; names and strings hold no commas, quotes or line breaks.
     """
     with open(path, "w", encoding="utf-8", newline="") as f:
-        f.write(f"# config-hash: {cfg_hash}\r\n")
-        writer = csv.writer(f)
-        writer.writerow(header)
+        f.write(f"# config-hash: {cfg_hash}\r\n" + ",".join(header) + "\r\n")
+        line = None
         for row in rows:
-            writer.writerow([_fmt(v) for v in row])
+            if line is None:
+                line = ",".join(map(_column_format, row)) + "\r\n"
+                bools = [i for i, v in enumerate(row) if isinstance(v, (bool, np.bool_))]
+            if bools:
+                row = list(row)
+                for i in bools:
+                    row[i] = "true" if row[i] else "false"
+            f.write(line % tuple(row))
 
 
 def write_manifest(out_dir, cfg_hash, seed, outputs):
@@ -452,6 +454,21 @@ def cmd_kernels(args) -> int:
     return EXIT_PASS if all_pass else EXIT_NUMERICAL
 
 
+# CSV column -> solve_report key, where the two differ
+_DIAGNOSTICS_KEYS = {"decay_r_squared": "decay_r2"}
+_SWEEP_KEYS = {"max_outside_Lambda": "max_outside_lambda"}
+
+
+def _columns(n_dim, before, after) -> tuple:
+    """`before`, one argmax column per axis, `after`."""
+    return before + tuple(f"argmax_{a}" for a in "xy"[:n_dim]) + after
+
+
+def _select(row, columns, keys) -> tuple:
+    """The values of `row` under `columns` (renamed by `keys`); nan where absent."""
+    return tuple(row.get(keys.get(c, c), math.nan) for c in columns)
+
+
 def cmd_solve(args) -> int:
     raw = load_config(args.config)
     cfg, settings = build_config(raw)
@@ -462,37 +479,24 @@ def cmd_solve(args) -> int:
         cfg, grid, tolerances=settings.tolerances,
         restarts=settings.restarts, seed=args.seed,
     )
-    region = verify_solution_region(res, cfg)
-    try:
-        fit = decay_fit(res)
-    except (DomainError, ValueError):
-        fit = {"C1": float("nan"), "C2": float("nan"), "r_squared": float("nan"),
-               "pointwise_bound_ok": False}
+    report = solve_report(res, cfg)
 
     outputs = []
     coords = [c.ravel() for c in grid.coords()]
-    axis_names = ["x", "y"][: grid.n_dim]
     sol_rows = zip(*coords, res.field.values.ravel())
     sol_path = os.path.join(args.out, "solution.csv")
-    write_csv(sol_path, tuple(axis_names) + ("u",), sol_rows, cfg_hash)
+    write_csv(sol_path, ("x", "y")[: grid.n_dim] + ("u",), sol_rows, cfg_hash)
     outputs.append(sol_path)
 
-    diag_header = (
-        ("energy", "c_star", "nehari_residual", "grad_residual")
-        + tuple(f"argmax_{a}" for a in axis_names)
-        + ("sup_norm", "iterations", "converged",
-           "max_outside_lambda", "a_threshold", "below_threshold",
-           "decay_C1", "decay_C2", "decay_r_squared", "decay_bound_ok")
-    )
-    diag_row = (
-        (res.energy, mp_threshold(cfg), res.nehari_residual, res.grad_residual)
-        + tuple(res.argmax_point)
-        + (res.sup_norm, res.iterations, res.converged,
-           region["max_outside_lambda"], region["a_threshold"], region["below_threshold"],
-           fit["C1"], fit["C2"], fit["r_squared"], fit["pointwise_bound_ok"])
+    diag_header = _columns(
+        grid.n_dim, ("energy", "c_star", "nehari_residual", "grad_residual"),
+        ("sup_norm", "iterations", "converged",
+         "max_outside_lambda", "a_threshold", "below_threshold",
+         "decay_C1", "decay_C2", "decay_r_squared", "decay_bound_ok"),
     )
     diag_path = os.path.join(args.out, "diagnostics.csv")
-    write_csv(diag_path, diag_header, [diag_row], cfg_hash)
+    write_csv(diag_path, diag_header, [_select(report, diag_header, _DIAGNOSTICS_KEYS)],
+              cfg_hash)
     outputs.append(diag_path)
 
     radii, env = shell_envelope(res)
@@ -504,7 +508,7 @@ def cmd_solve(args) -> int:
 
     outputs.append(write_manifest(args.out, cfg_hash, args.seed, outputs))
     status = "converged" if res.converged else "NOT CONVERGED"
-    print(f"{status}: energy {res.energy:.10g}, c_star {mp_threshold(cfg):.10g}, "
+    print(f"{status}: energy {res.energy:.10g}, c_star {report['c_star']:.10g}, "
           f"iterations {res.iterations}")
     return EXIT_PASS if res.converged else EXIT_NUMERICAL
 
@@ -521,7 +525,6 @@ def cmd_sweep(args) -> int:
         print("eps values must be positive and finite", file=sys.stderr)
         return EXIT_INVALID
     os.makedirs(args.out, exist_ok=True)
-    jobs = args.jobs if args.jobs else settings.sweep_jobs
 
     # eps-independent reference level d at constant potential -V0
     auto = AutonomousConfig(mu=-cfg.potential.V0, frac=cfg.frac, nonlin=cfg.nonlin)
@@ -534,48 +537,31 @@ def cmd_sweep(args) -> int:
     rows = concentration_sweep(
         cfg, eps_list, points_per_dim=settings.sweep_points_per_dim,
         tolerances=settings.tolerances, restarts=settings.restarts,
-        seed=args.seed, jobs=jobs,
+        seed=args.seed, jobs=args.jobs or (os.cpu_count() or 1),
     )
-    axis_names = ["x", "y"][: cfg.frac.n_dim]
-    header = (
-        ("eps", "energy", "c_star", "d_V0_estimate")
-        + tuple(f"argmax_{a}" for a in axis_names)
-        + ("dist_to_M_rescaled", "decay_C2", "max_outside_Lambda",
-           "a_threshold", "converged")
+    header = _columns(
+        cfg.frac.n_dim, ("eps", "energy", "c_star", "d_V0_estimate"),
+        ("dist_to_M_rescaled", "decay_C2", "max_outside_Lambda", "a_threshold", "converged"),
     )
-    out_rows = []
-    any_fail = False
     for row in rows:
-        if row.get("error"):
-            any_fail = True
-            out_rows.append(
-                (row["eps"], float("nan"), float("nan"), d_res.energy)
-                + (float("nan"),) * len(axis_names)
-                + (float("nan"), float("nan"), float("nan"), float("nan"), False)
-            )
+        row["d_V0_estimate"] = d_res.energy
+        if row["error"]:
             print(f"eps {row['eps']}: FAILED ({row['error']})")
-            continue
-        any_fail = any_fail or not row["converged"]
-        out_rows.append(
-            (row["eps"], row["energy"], row["c_star"], d_res.energy)
-            + tuple(row["argmax"])
-            + (row["dist_to_M_rescaled"], row["decay_C2"],
-               row["max_outside_lambda"], row["a_threshold"], row["converged"])
-        )
-        print(f"eps {row['eps']}: energy {row['energy']:.8g}, "
-              f"dist_to_M(rescaled) {row['dist_to_M_rescaled']:.4g}")
+        else:
+            print(f"eps {row['eps']}: energy {row['energy']:.8g}, "
+                  f"dist_to_M(rescaled) {row['dist_to_M_rescaled']:.4g}")
     path = os.path.join(args.out, "sweep.csv")
-    write_csv(path, header, out_rows, cfg_hash)
+    write_csv(path, header, [_select(r, header, _SWEEP_KEYS) for r in rows], cfg_hash)
     outputs = [path]
-    finite = [(r[0], r[len(header) - 5]) for r in out_rows if np.isfinite(r[len(header) - 5])]
     svg_path = os.path.join(args.out, "concentration.svg")
     write_svg(
         svg_path,
-        [p[0] for p in finite], [p[1] for p in finite],
+        [r["eps"] for r in rows], [r.get("dist_to_M_rescaled", math.nan) for r in rows],
         "concentration at the wells", "eps", "dist(eps x_max, M)",
     )
     outputs.append(svg_path)
     outputs.append(write_manifest(args.out, cfg_hash, args.seed, outputs))
+    any_fail = not all(r["converged"] for r in rows)
     return EXIT_NUMERICAL if any_fail else EXIT_PASS
 
 

@@ -35,9 +35,6 @@ class ExtensionStack:
             raise DomainError("y_levels must start at 0 and increase strictly")
         object.__setattr__(self, "y_levels", y)
 
-    def slab(self, j: int) -> Field:
-        return Field(grid=self.grid, values=self.slabs[j])
-
 
 def default_y_levels(m: float, n_levels: int = 48) -> np.ndarray:
     """0 plus n_levels log-spaced heights in [1e-4/m, 20/m]."""

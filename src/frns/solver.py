@@ -456,12 +456,11 @@ def _solve_with_restarts(problem, init, tolerances, restarts, seed) -> SolveResu
             bump = 1.0 + 0.2 * rng.standard_normal(problem.grid.shape)
             start = np.maximum(init * bump, 0.0)
         u, E, it, conv = _descend(problem, start, tolerances)
-        res = _package_result(problem, u, E, it, conv)
-        if best is None or (res.converged and not best.converged) or (
-            res.converged == best.converged and res.energy < best.energy
-        ):
-            best = res
-    return best
+        # a converged run beats an unconverged one, then the lower
+        # energy wins; on a tie the earlier restart stays
+        if best is None or (conv, -E) > (best[3], -best[1]):
+            best = (u, E, it, conv)
+    return _package_result(problem, *best)
 
 
 # ---------------------------------------------------------------------------
@@ -556,17 +555,12 @@ def verify_solution_region(result: SolveResult, config: ModelConfig) -> dict:
     """Report whether the solution stays below the penalization
     threshold a outside the blown-up well region (the condition under
     which the penalized solution solves the original problem)."""
-    g = result.field.grid
-    mask = lambda_mask(config, g)
-    outside = ~mask
-    vals = result.field.values
-    max_outside = float(np.max(vals[outside])) if np.any(outside) else 0.0
+    outside = result.field.values[~lambda_mask(config, result.field.grid)]
+    max_outside = float(np.max(outside)) if outside.size else 0.0
     return {
         "max_outside_lambda": max_outside,
         "a_threshold": config.pen.a,
         "below_threshold": bool(max_outside < config.pen.a),
-        "sup_norm": result.sup_norm,
-        "min_value": float(np.min(vals)),
     }
 
 
@@ -660,6 +654,38 @@ def decay_fit(result: SolveResult, lo_frac=1e-8, hi_frac=1e-2) -> dict:
     }
 
 
+def solve_report(result: SolveResult, config: ModelConfig) -> dict:
+    """Every per-solve number that `frns solve` and `frns sweep` report.
+
+    The level against c_*, the Nehari and gradient residuals, the argmax
+    (argmax_x, argmax_y), sup norm, iterations and convergence, the
+    penalization check (`verify_solution_region`) and the decay fit.  A
+    fit that fails with a DomainError or a LinAlgError leaves nan decay
+    values and decay_bound_ok false; any other error propagates.
+    """
+    region = verify_solution_region(result, config)
+    try:
+        fit = decay_fit(result)
+    except (DomainError, np.linalg.LinAlgError):
+        fit = {"C1": np.nan, "C2": np.nan, "r_squared": np.nan,
+               "pointwise_bound_ok": False}
+    return {
+        "energy": result.energy,
+        "c_star": mp_threshold(config),
+        "nehari_residual": result.nehari_residual,
+        "grad_residual": result.grad_residual,
+        **{f"argmax_{a}": c for a, c in zip("xy", result.argmax_point)},
+        "sup_norm": result.sup_norm,
+        "iterations": result.iterations,
+        "converged": result.converged,
+        **region,
+        "decay_C1": fit["C1"],
+        "decay_C2": fit["C2"],
+        "decay_r2": fit["r_squared"],
+        "decay_bound_ok": fit["pointwise_bound_ok"],
+    }
+
+
 def dist_to_wells(point, M_points) -> float:
     return min(
         float(np.sqrt(sum((a - b) ** 2 for a, b in zip(point, mp)))) for mp in M_points
@@ -691,62 +717,33 @@ def concentration_sweep(
 ) -> list:
     """Solve across decreasing eps and track where the maximum sits.
 
-    Each row records the energy, the mountain-pass threshold, the
-    rescaled argmax distance to the well set M, the decay-fit rate and
-    the penalization check.  Numerical and domain failures of a solve
-    are recorded in its row and the sweep continues; other exceptions
-    (programming errors) propagate.
+    Each row is the `solve_report` of one solve plus eps, the grid
+    (grid_points, half_length), the rescaled argmax distance to the
+    well set M and error (None).  Numerical and domain failures of a
+    solve leave a row of eps, the grid, converged = False and the error
+    message, and the sweep continues; other exceptions (programming
+    errors) propagate.
     """
-    rows = []
-
-    def run_one(i_eps):
-        i, eps = i_eps
+    def run_one(i, eps):
         cfg = with_eps(config, eps)
         g = grid_for_eps(cfg, eps, points_per_dim)
         row = {"eps": eps, "grid_points": points_per_dim, "half_length": g.half_length}
         try:
             res = ground_state(cfg, g, tolerances=tolerances, restarts=restarts,
                                seed=seed + i)
-            region = verify_solution_region(res, cfg)
-            try:
-                fit = decay_fit(res)
-            except DomainError:
-                fit = {"C1": np.nan, "C2": np.nan, "r_squared": np.nan,
-                       "pointwise_bound_ok": False}
-            rescaled = tuple(eps * c for c in res.argmax_point)
-            row.update(
-                energy=res.energy,
-                c_star=mp_threshold(cfg),
-                converged=res.converged,
-                iterations=res.iterations,
-                nehari_residual=res.nehari_residual,
-                grad_residual=res.grad_residual,
-                sup_norm=res.sup_norm,
-                argmax=res.argmax_point,
-                argmax_rescaled=rescaled,
-                dist_to_M_rescaled=dist_to_wells(rescaled, config.potential.M_points),
-                decay_C1=fit["C1"],
-                decay_C2=fit["C2"],
-                decay_r2=fit["r_squared"],
-                max_outside_lambda=region["max_outside_lambda"],
-                a_threshold=region["a_threshold"],
-                below_threshold=region["below_threshold"],
-                error=None,
-            )
+            row.update(solve_report(res, cfg))
         except (DomainError, AssumptionError, NoPositivePartError, NoBracketError,
                 ArithmeticError) as exc:  # numerical failures recorded, sweep continues
             row.update(converged=False, error=f"{type(exc).__name__}: {exc}")
-        return i, row
+            return row
+        rescaled = tuple(eps * c for c in res.argmax_point)
+        row.update(dist_to_M_rescaled=dist_to_wells(rescaled, config.potential.M_points),
+                   error=None)
+        return row
 
-    items = list(enumerate(eps_list))
     if jobs > 1:
         from concurrent.futures import ThreadPoolExecutor
 
         with ThreadPoolExecutor(max_workers=jobs) as ex:
-            for i, row in ex.map(run_one, items):
-                rows.append((i, row))
-        rows = [r for _, r in sorted(rows)]
-    else:
-        rows = [run_one(it)[1] for it in items]
-    return rows
-
+            return list(ex.map(run_one, range(len(eps_list)), eps_list))
+    return [run_one(i, eps) for i, eps in enumerate(eps_list)]

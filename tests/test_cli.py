@@ -6,9 +6,11 @@ import os
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
 import frns.cli as cli
+import frns.solver as solver
 from frns.cli import (
     EXIT_INVALID,
     EXIT_NUMERICAL,
@@ -92,9 +94,11 @@ class TestConfigParsing:
             assert settings.points_per_dim >= 32
 
     def test_unknown_key_rejected(self, tmp_path):
-        p = write_cfg(tmp_path, "frac.s = 0.5\nnope = 1\n")
-        with pytest.raises(cli.ConfigError):
-            load_config(p)
+        # sweep.jobs was a key once; --jobs sets the pool size
+        for line in ("nope = 1", "sweep.jobs = 2"):
+            p = write_cfg(tmp_path, f"frac.s = 0.5\n{line}\n")
+            with pytest.raises(cli.ConfigError, match="unknown key"):
+                load_config(p)
 
     def test_duplicate_key_rejected(self, tmp_path):
         p = write_cfg(tmp_path, "frac.s = 0.5\nfrac.s = 0.5\n")
@@ -203,6 +207,31 @@ class TestExitCodes:
         assert code == EXIT_INVALID
 
 
+class TestWriteCsv:
+    def test_exact_bytes(self, tmp_path):
+        path = tmp_path / "t.csv"
+        rows = [
+            ("a", True, 3, float("nan"), np.bool_(False)),
+            ("b", False, np.int64(-7), -0.0, np.True_),
+            ("c", True, 12, np.float64(1e-300), False),
+            ("d", False, 0, 0.1, True),
+        ]
+        cli.write_csv(path, ("name", "flag", "count", "value", "np_flag"), rows, "abc")
+        assert path.read_bytes() == (
+            b"# config-hash: abc\r\n"
+            b"name,flag,count,value,np_flag\r\n"
+            b"a,true,3,nan,false\r\n"
+            b"b,false,-7,-0,true\r\n"
+            b"c,true,12,1e-300,false\r\n"
+            b"d,false,0,0.10000000000000001,true\r\n"
+        )
+
+    def test_no_rows_writes_header(self, tmp_path):
+        path = tmp_path / "t.csv"
+        cli.write_csv(path, ("x", "u"), iter(()), "abc")
+        assert path.read_bytes() == b"# config-hash: abc\r\nx,u\r\n"
+
+
 class TestKernels:
     def test_kernels_pass_and_emit_csv(self, tmp_path, capsys):
         out = str(tmp_path / "k")
@@ -272,3 +301,83 @@ class TestSolve:
         root = ET.parse(os.path.join(out, "profile.svg")).getroot()
         assert root.tag.endswith("svg")
         assert root.attrib["version"] == "1.1"
+
+
+def small_cfg(tmp_path, points):
+    """The 2D config on a points^2 grid for solve and sweep, one restart."""
+    text = open(CFG_2D).read()
+    for key, default in (("grid.points_per_dim", 128), ("sweep.points_per_dim", 256)):
+        text = text.replace(f"{key} = {default}", f"{key} = {points}")
+    return write_cfg(tmp_path, text + "solver.restarts = 1\n", name=f"c{points}.cfg")
+
+
+def read_table(path):
+    """(header, rows as dicts of strings) of a CSV written by the CLI."""
+    header, *body = read_rows(path)
+    return header, [dict(zip(header, r)) for r in body]
+
+
+SWEEP_HEADER = [
+    "eps", "energy", "c_star", "d_V0_estimate", "argmax_x", "argmax_y",
+    "dist_to_M_rescaled", "decay_C2", "max_outside_Lambda", "a_threshold", "converged",
+]
+
+
+class TestSweep:
+    def run(self, tmp_path, cfg_path):
+        out = str(tmp_path / "sweep")
+        code = main(["sweep", "--config", cfg_path, "--out", out, "--jobs", "1"])
+        return code, read_table(os.path.join(out, "sweep.csv"))
+
+    def test_sweep_csv_matches_concentration_sweep(self, tmp_path):
+        path = small_cfg(tmp_path, 32)
+        code, (header, rows) = self.run(tmp_path, path)
+        assert code == EXIT_PASS
+        assert header == SWEEP_HEADER
+        assert len(rows) == 3
+        cfg, settings = build_config(load_config(path))
+        expected = solver.concentration_sweep(
+            cfg, settings.sweep_eps, points_per_dim=32,
+            tolerances=settings.tolerances, restarts=1,
+        )
+        assert [float(r["dist_to_M_rescaled"]) for r in rows] == [
+            r["dist_to_M_rescaled"] for r in expected
+        ]
+        assert all(r["converged"] == "true" for r in rows)
+
+    def test_failed_solve_writes_nan_row(self, tmp_path, monkeypatch, capsys):
+        real = solver.ground_state
+
+        def no_bracket_at_quarter(cfg, *args, **kwargs):
+            if cfg.eps == 0.25:
+                raise solver.NoBracketError("no Nehari bracket")
+            return real(cfg, *args, **kwargs)
+
+        monkeypatch.setattr(solver, "ground_state", no_bracket_at_quarter)
+        code, (header, rows) = self.run(tmp_path, small_cfg(tmp_path, 32))
+        assert code == EXIT_NUMERICAL
+        assert "eps 0.25: FAILED (NoBracketError: no Nehari bracket)" in capsys.readouterr().out
+        assert len(rows) == 3
+        failed = rows[1]
+        assert (failed["eps"], failed["converged"]) == ("0.25", "false")
+        assert float(failed["d_V0_estimate"]) == float(rows[0]["d_V0_estimate"]) > 0.0
+        assert all(failed[c] == "nan"
+                   for c in header if c not in ("eps", "d_V0_estimate", "converged"))
+        assert rows[0]["converged"] == rows[2]["converged"] == "true"
+
+    def test_decay_linalg_error_gives_nan_decay(self, tmp_path, monkeypatch):
+        def singular(result):
+            raise np.linalg.LinAlgError("SVD did not converge in Linear Least Squares")
+
+        monkeypatch.setattr(solver, "decay_fit", singular)
+        out = str(tmp_path / "solve")
+        assert main(["solve", "--config", small_cfg(tmp_path, 64), "--out", out]) == EXIT_PASS
+        _, (diag,) = read_table(os.path.join(out, "diagnostics.csv"))
+        assert [diag[c] for c in ("decay_C1", "decay_C2", "decay_r_squared")] == ["nan"] * 3
+        assert diag["decay_bound_ok"] == "false"
+        assert diag["converged"] == "true"
+
+        code, (_, rows) = self.run(tmp_path, small_cfg(tmp_path, 32))
+        assert code == EXIT_PASS
+        assert [r["decay_C2"] for r in rows] == ["nan"] * 3
+        assert all(r["energy"] != "nan" for r in rows)

@@ -168,6 +168,22 @@ class TestGroundState:
         assert res2.energy == res.energy
         assert np.array_equal(res2.field.values, res.field.values)
 
+    def test_restarts_package_only_the_winner(self, monkeypatch):
+        import frns.solver as solver
+
+        # converged beats lower energy; among converged runs the lower
+        # energy wins, and the earlier of two equal ones stays
+        runs = iter([("a", 1.0, 5, False), ("b", 2.0, 6, True),
+                     ("c", 0.5, 7, False), ("d", 2.0, 8, True), ("e", 3.0, 9, True)])
+        packaged = []
+        monkeypatch.setattr(solver, "_descend", lambda problem, start, tol: next(runs))
+        monkeypatch.setattr(solver, "_package_result",
+                            lambda problem, *best: packaged.append(best) or best)
+        problem = NehariProblem.autonomous(
+            AutonomousConfig(mu=0.0, frac=FRAC, nonlin=NL), Grid(2, 32, 4.0))
+        best = solver._solve_with_restarts(problem, np.ones((32, 32)), None, 5, 0)
+        assert packaged == [best] == [("b", 2.0, 6, True)]
+
 
 class TestAutonomous:
     def test_invalid_mu_rejected(self):
