@@ -96,7 +96,6 @@ _SCHEMA = {
     "grid.half_length": ("float", False, None),
     "solver.grad_tol": ("float", False, 1e-6),
     "solver.max_iterations": ("int", False, 20000),
-    "solver.restarts": ("int", False, 3),
     "sweep.eps": ("float_list", False, (0.5, 0.25, 0.1)),
     "sweep.points_per_dim": ("int", False, 256),
 }
@@ -193,9 +192,9 @@ class RunSettings:
     points_per_dim: int
     half_length: float  # 0 = derive from Lambda via grid_for_eps
     tolerances: Tolerances
-    restarts: int
     sweep_eps: tuple
     sweep_points_per_dim: int
+    restarts: int = 1  # unused; only perfbench/worker.py still reads it
 
 
 def build_config(raw):
@@ -235,7 +234,6 @@ def build_config(raw):
             grad=raw["solver.grad_tol"],
             max_iterations=raw["solver.max_iterations"],
         ),
-        restarts=raw["solver.restarts"],
         sweep_eps=raw["sweep.eps"],
         sweep_points_per_dim=raw["sweep.points_per_dim"],
     )
@@ -475,10 +473,7 @@ def cmd_solve(args) -> int:
     cfg_hash = config_hash(raw)
     os.makedirs(args.out, exist_ok=True)
     grid = _grid_for(cfg, settings)
-    res = ground_state(
-        cfg, grid, tolerances=settings.tolerances,
-        restarts=settings.restarts, seed=args.seed,
-    )
+    res = ground_state(cfg, grid, tolerances=settings.tolerances)
     report = solve_report(res, cfg)
 
     outputs = []
@@ -529,15 +524,11 @@ def cmd_sweep(args) -> int:
     # eps-independent reference level d at constant potential -V0
     auto = AutonomousConfig(mu=-cfg.potential.V0, frac=cfg.frac, nonlin=cfg.nonlin)
     d_grid = Grid(cfg.frac.n_dim, min(settings.sweep_points_per_dim, 128), 20.0 / cfg.frac.m)
-    d_res = autonomous_ground_state(
-        auto, d_grid, tolerances=settings.tolerances,
-        restarts=settings.restarts, seed=args.seed,
-    )
+    d_res = autonomous_ground_state(auto, d_grid, tolerances=settings.tolerances)
 
     rows = concentration_sweep(
         cfg, eps_list, points_per_dim=settings.sweep_points_per_dim,
-        tolerances=settings.tolerances, restarts=settings.restarts,
-        seed=args.seed, jobs=args.jobs or (os.cpu_count() or 1),
+        tolerances=settings.tolerances, jobs=args.jobs or (os.cpu_count() or 1),
     )
     header = _columns(
         cfg.frac.n_dim, ("eps", "energy", "c_star", "d_V0_estimate"),

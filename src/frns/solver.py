@@ -401,10 +401,10 @@ def gaussian_bump(grid: Grid, center, width=1.0, amplitude=1.0) -> np.ndarray:
     return amplitude * np.exp(-r2 / (2.0 * width**2))
 
 
-def default_init(config: ModelConfig, grid: Grid) -> np.ndarray:
-    """Gaussian bump of width 1 at the first designated minimum of V,
-    in the blown-up coordinates x = (well position) / eps."""
-    center = tuple(c / config.eps for c in config.potential.M_points[0])
+def default_init(config: ModelConfig, grid: Grid, well: int = 0) -> np.ndarray:
+    """Gaussian bump of width 1 at designated minimum `well` of V, in
+    the blown-up coordinates x = (well position) / eps."""
+    center = tuple(c / config.eps for c in config.potential.M_points[well])
     return gaussian_bump(grid, center)
 
 
@@ -413,21 +413,23 @@ def ground_state(
     grid: Grid,
     init: Optional[np.ndarray] = None,
     tolerances: Tolerances = Tolerances(),
-    restarts: int = 3,
-    seed: int = 0,
+    restarts: int = 3,  # unused; only perfbench/worker.py still passes it
+    seed: int = 0,  # unused; only perfbench/worker.py still passes it
     table: Optional[KernelTable] = None,
 ) -> SolveResult:
     """Minimize the penalized energy over the Nehari manifold.
 
     The returned energy is an upper estimate of the mountain-pass level
     (minimization along a gradient-flow path, not a certificate of
-    global minimality).  Randomized restarts perturb the initial bump
-    to guard against local minima; the best energy wins.
+    global minimality).  The basin a descent starts in sets its level,
+    so it starts once at each minimum of V in M_points order
+    (`default_init`), or once at `init` when given; `_best_descent`
+    picks the run.
     """
     problem = NehariProblem.penalized(config, grid, table)
-    if init is None:
-        init = default_init(config, grid)
-    return _solve_with_restarts(problem, init, tolerances, restarts, seed)
+    wells = range(len(config.potential.M_points))
+    starts = [init] if init is not None else (default_init(config, grid, k) for k in wells)
+    return _best_descent(problem, starts, tolerances)
 
 
 def autonomous_ground_state(
@@ -435,30 +437,29 @@ def autonomous_ground_state(
     grid: Grid,
     init: Optional[np.ndarray] = None,
     tolerances: Tolerances = Tolerances(),
-    restarts: int = 3,
-    seed: int = 0,
     table: Optional[KernelTable] = None,
 ) -> SolveResult:
-    """Ground state of the constant-potential problem; estimates d_mu."""
+    """Ground state of the constant-potential problem; estimates d_mu.
+    One start, a centred bump unless `init` is given."""
     problem = NehariProblem.autonomous(config, grid, table)
     if init is None:
         init = gaussian_bump(grid, (0.0,) * grid.n_dim)
-    return _solve_with_restarts(problem, init, tolerances, restarts, seed)
+    return _best_descent(problem, [init], tolerances)
 
 
-def _solve_with_restarts(problem, init, tolerances, restarts, seed) -> SolveResult:
-    rng = np.random.default_rng(seed)
+def _best_descent(problem, starts, tolerances) -> SolveResult:
+    """Descend from each start in order and package the best run.
+
+    A converged run beats an unconverged one.  A later start replaces
+    the best only when its level is lower by more than 1e-10 relative,
+    so the earliest start keeps a round-off tie: the levels of mirror
+    wells differ by a few ulp either way.
+    """
     best = None
-    for trial in range(max(restarts, 1)):
-        if trial == 0:
-            start = init
-        else:
-            bump = 1.0 + 0.2 * rng.standard_normal(problem.grid.shape)
-            start = np.maximum(init * bump, 0.0)
+    for start in starts:
         u, E, it, conv = _descend(problem, start, tolerances)
-        # a converged run beats an unconverged one, then the lower
-        # energy wins; on a tie the earlier restart stays
-        if best is None or (conv, -E) > (best[3], -best[1]):
+        if (best is None or (conv and not best[3])
+                or (conv == best[3] and E < best[1] - 1e-10 * abs(best[1]))):
             best = (u, E, it, conv)
     return _package_result(problem, *best)
 
@@ -711,8 +712,6 @@ def concentration_sweep(
     eps_list: Sequence[float],
     points_per_dim: int = 256,
     tolerances: Tolerances = Tolerances(),
-    restarts: int = 2,
-    seed: int = 0,
     jobs: int = 1,
 ) -> list:
     """Solve across decreasing eps and track where the maximum sits.
@@ -724,13 +723,12 @@ def concentration_sweep(
     message, and the sweep continues; other exceptions (programming
     errors) propagate.
     """
-    def run_one(i, eps):
+    def run_one(eps):
         cfg = with_eps(config, eps)
         g = grid_for_eps(cfg, eps, points_per_dim)
         row = {"eps": eps, "grid_points": points_per_dim, "half_length": g.half_length}
         try:
-            res = ground_state(cfg, g, tolerances=tolerances, restarts=restarts,
-                               seed=seed + i)
+            res = ground_state(cfg, g, tolerances=tolerances)
             row.update(solve_report(res, cfg))
         except (DomainError, AssumptionError, NoPositivePartError, NoBracketError,
                 ArithmeticError) as exc:  # numerical failures recorded, sweep continues
@@ -745,5 +743,5 @@ def concentration_sweep(
         from concurrent.futures import ThreadPoolExecutor
 
         with ThreadPoolExecutor(max_workers=jobs) as ex:
-            return list(ex.map(run_one, range(len(eps_list)), eps_list))
-    return [run_one(i, eps) for i, eps in enumerate(eps_list)]
+            return list(ex.map(run_one, eps_list))
+    return [run_one(eps) for eps in eps_list]

@@ -61,14 +61,14 @@ def default_config():
 def default_solve(default_config):
     """Criterion 8 solve on the pinned 128^2 grid, shared with 10/11."""
     grid = grid_for_eps(default_config, default_config.eps, 128)
-    return grid, ground_state(default_config, grid, restarts=1)
+    return grid, ground_state(default_config, grid)
 
 
 @pytest.fixture(scope="module")
 def sweep_rows(default_config):
     """Criterion 9 sweep at 256 points per dim, shared with criterion 10."""
     return concentration_sweep(
-        default_config, (0.5, 0.25, 0.1), points_per_dim=256, restarts=1,
+        default_config, (0.5, 0.25, 0.1), points_per_dim=256,
         jobs=min(3, os.cpu_count() or 1),
     )
 
@@ -243,7 +243,7 @@ def test_criterion_10_level_comparison(capsys, default_config, sweep_rows):
         mu=-default_config.potential.V0,
         frac=default_config.frac, nonlin=default_config.nonlin,
     )
-    d_res = autonomous_ground_state(auto, Grid(2, 128, 20.0), restarts=1)
+    d_res = autonomous_ground_state(auto, Grid(2, 128, 20.0))
     d = d_res.energy
     # smallest-eps level within 5% above the autonomous level d_{V(0)}
     within = d - 0.01 * d <= c_eps[-1] <= 1.05 * d

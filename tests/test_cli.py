@@ -94,8 +94,9 @@ class TestConfigParsing:
             assert settings.points_per_dim >= 32
 
     def test_unknown_key_rejected(self, tmp_path):
-        # sweep.jobs was a key once; --jobs sets the pool size
-        for line in ("nope = 1", "sweep.jobs = 2"):
+        # sweep.jobs and solver.restarts were keys once; --jobs sets the
+        # pool size, and a solve starts once per well
+        for line in ("nope = 1", "sweep.jobs = 2", "solver.restarts = 1"):
             p = write_cfg(tmp_path, f"frac.s = 0.5\n{line}\n")
             with pytest.raises(cli.ConfigError, match="unknown key"):
                 load_config(p)
@@ -304,11 +305,11 @@ class TestSolve:
 
 
 def small_cfg(tmp_path, points):
-    """The 2D config on a points^2 grid for solve and sweep, one restart."""
+    """The 2D config on a points^2 grid for solve and sweep."""
     text = open(CFG_2D).read()
     for key, default in (("grid.points_per_dim", 128), ("sweep.points_per_dim", 256)):
         text = text.replace(f"{key} = {default}", f"{key} = {points}")
-    return write_cfg(tmp_path, text + "solver.restarts = 1\n", name=f"c{points}.cfg")
+    return write_cfg(tmp_path, text, name=f"c{points}.cfg")
 
 
 def read_table(path):
@@ -338,7 +339,7 @@ class TestSweep:
         cfg, settings = build_config(load_config(path))
         expected = solver.concentration_sweep(
             cfg, settings.sweep_eps, points_per_dim=32,
-            tolerances=settings.tolerances, restarts=1,
+            tolerances=settings.tolerances,
         )
         assert [float(r["dist_to_M_rescaled"]) for r in rows] == [
             r["dist_to_M_rescaled"] for r in expected

@@ -1,8 +1,11 @@
 """Solver layer: Nehari scaling, constrained descent, levels, decay fit,
 trace-constant estimate and the concentration sweep helpers."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from frns.specfun import FracParams, sobolev_trace_constant
 from frns.operator import Field, Grid
@@ -60,7 +63,7 @@ def solved():
     """One converged 64^2 penalized solve shared across the module."""
     cfg = default_config()
     grid = Grid(2, 64, 18.0)
-    res = ground_state(cfg, grid, restarts=1)
+    res = ground_state(cfg, grid)
     return cfg, grid, res
 
 
@@ -164,25 +167,76 @@ class TestGroundState:
 
     def test_deterministic_for_fixed_seed(self, solved):
         cfg, grid, res = solved
-        res2 = ground_state(cfg, grid, restarts=1)
+        res2 = ground_state(cfg, grid)
         assert res2.energy == res.energy
         assert np.array_equal(res2.field.values, res.field.values)
 
-    def test_restarts_package_only_the_winner(self, monkeypatch):
+    def test_best_descent_packages_only_the_winner(self, monkeypatch):
         import frns.solver as solver
 
-        # converged beats lower energy; among converged runs the lower
-        # energy wins, and the earlier of two equal ones stays
-        runs = iter([("a", 1.0, 5, False), ("b", 2.0, 6, True),
-                     ("c", 0.5, 7, False), ("d", 2.0, 8, True), ("e", 3.0, 9, True)])
+        # converged beats a lower unconverged level; a later start wins
+        # when it is lower by 1e-9 relative, not when it is 1 ulp lower
+        # (a round-off tie keeps the earlier start)
+        winner = 2.0 * (1.0 - 1e-9)
+        runs = iter([("a", 1.0, 5, False), ("b", 2.0, 6, True), ("c", winner, 7, True),
+                     ("d", np.nextafter(winner, 0.0), 8, True), ("e", 0.5, 9, False)])
         packaged = []
         monkeypatch.setattr(solver, "_descend", lambda problem, start, tol: next(runs))
         monkeypatch.setattr(solver, "_package_result",
                             lambda problem, *best: packaged.append(best) or best)
         problem = NehariProblem.autonomous(
             AutonomousConfig(mu=0.0, frac=FRAC, nonlin=NL), Grid(2, 32, 4.0))
-        best = solver._solve_with_restarts(problem, np.ones((32, 32)), None, 5, 0)
-        assert packaged == [best] == [("b", 2.0, 6, True)]
+        best = solver._best_descent(problem, [np.ones((32, 32))] * 5, None)
+        assert packaged == [best] == [("c", winner, 7, True)]
+
+    def test_start_at_each_well_finds_the_lower_basin(self):
+        # the well at (-1.9, 0), near the edge of Lambda, has a higher
+        # basin than the one at (1, 0); the first-well start stays in it
+        pot = replace(POT, M_points=((-1.9, 0.0), (1.0, 0.0)))
+        cfg = replace(default_config(), potential=pot)
+        grid = Grid(2, 64, 18.0)
+        first = ground_state(cfg, grid, init=default_init(cfg, grid, 0))
+        res = ground_state(cfg, grid)
+        assert first.converged and res.converged
+        assert first.energy == pytest.approx(0.463361, abs=1e-6)
+        assert first.argmax_point[0] < 0.0
+        assert res.energy == pytest.approx(0.458183, abs=1e-6)
+        assert res.argmax_point[0] > 0.0
+
+
+GRID_32 = Grid(2, 32, 18.0)
+PROBLEMS_32 = {
+    "penalized": NehariProblem.penalized(default_config(), GRID_32),
+    "autonomous": NehariProblem.autonomous(
+        AutonomousConfig(mu=-0.2, frac=FRAC, nonlin=NL), GRID_32),
+}
+# a bump inside Lambda_eps (|x| < 10 at eps = 0.25) plus one outside it,
+# where the penalized nonlinearity is truncated
+FIELDS_32 = st.builds(
+    lambda x, y, w, amp, y_out, amp_out: (
+        gaussian_bump(GRID_32, (x, y), width=w, amplitude=amp)
+        + gaussian_bump(GRID_32, (13.0, y_out), amplitude=amp_out)),
+    st.floats(-6.0, 6.0), st.floats(-6.0, 6.0), st.floats(0.8, 3.0),
+    st.floats(0.05, 20.0), st.floats(-10.0, 10.0), st.floats(0.0, 20.0),
+)
+
+
+@pytest.mark.parametrize("kind", sorted(PROBLEMS_32))
+class TestNehariProperties:
+    @settings(max_examples=30, deadline=None)
+    @given(u=FIELDS_32, c=st.floats(1e-2, 1e2))
+    def test_scale_covariance(self, kind, u, c):
+        # t(c u) = t(u) / c
+        problem = PROBLEMS_32[kind]
+        t = problem.nehari_scale(u)[0]
+        assert problem.nehari_scale(c * u)[0] == pytest.approx(t / c, rel=1e-12)
+
+    @settings(max_examples=30, deadline=None)
+    @given(u=FIELDS_32)
+    def test_scaled_field_on_nehari_manifold(self, kind, u):
+        problem = PROBLEMS_32[kind]
+        t = problem.nehari_scale(u)[0]
+        assert problem.nehari_residual(t * u) <= 1e-10
 
 
 class TestAutonomous:
@@ -196,7 +250,7 @@ class TestAutonomous:
         levels = []
         for mu in (-0.2, 0.0):
             acfg = AutonomousConfig(mu=mu, frac=FRAC, nonlin=NL)
-            res = autonomous_ground_state(acfg, grid, restarts=1)
+            res = autonomous_ground_state(acfg, grid)
             assert res.converged
             levels.append(res.energy)
         assert levels[0] < levels[1]
@@ -207,7 +261,7 @@ class TestAutonomous:
         e = []
         for center in ((0.0, 0.0), (2.0, -1.5)):
             init = gaussian_bump(grid, center)
-            res = autonomous_ground_state(acfg, grid, init=init, restarts=1)
+            res = autonomous_ground_state(acfg, grid, init=init)
             assert res.converged
             e.append(res.energy)
         assert e[0] == pytest.approx(e[1], rel=1e-6)
