@@ -280,12 +280,13 @@ def write_csv(path, header, rows, cfg_hash):
             f.write(line % tuple(row))
 
 
-def write_manifest(out_dir, cfg_hash, seed, outputs):
+def write_manifest(out_dir, cfg_hash, seed, outputs, **extra):
     manifest = {
         "config_hash": cfg_hash,
         "seed": int(seed),
         "version": __version__,
         "outputs": sorted(outputs),
+        **extra,
     }
     path = os.path.join(out_dir, "manifest.json")
     with open(path, "w", encoding="utf-8") as f:
@@ -501,7 +502,8 @@ def cmd_solve(args) -> int:
               "r = |x - argmax|", "log10 shell max of u")
     outputs.append(svg_path)
 
-    outputs.append(write_manifest(args.out, cfg_hash, args.seed, outputs))
+    outputs.append(write_manifest(args.out, cfg_hash, args.seed, outputs,
+                                  wells_descended=list(res.wells_descended)))
     status = "converged" if res.converged else "NOT CONVERGED"
     print(f"{status}: energy {res.energy:.10g}, c_star {report['c_star']:.10g}, "
           f"iterations {res.iterations}")

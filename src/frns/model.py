@@ -258,8 +258,12 @@ def g_eval(config: ModelConfig, in_lambda, t):
     """
     nl, pot, pen = config.nonlin, config.potential, config.pen
     t = np.asarray(t, dtype=float)
-    tp = np.maximum(t, 0.0)
-    full = nl.f(tp) + tp ** (config.two_star - 1.0)
+    # only t > 0 (and nan, which stays nan) goes through pow: it takes a
+    # slow path for a 0.0 base, and the clipped field holds many zeros
+    pos = np.logical_not(t <= 0.0)
+    tp = t[pos]
+    full = np.zeros(t.shape)
+    full[pos] = nl.f(tp) + tp ** (config.two_star - 1.0)
     linear = (pot.V1 / pen.kappa) * t
     outside_high = np.logical_and(np.logical_not(in_lambda), t >= pen.a)
     return np.where(outside_high, linear, full)

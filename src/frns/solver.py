@@ -12,7 +12,8 @@ problem with constant potential shift mu; they differ only in the
 potential term and in whether the nonlinearity is truncated.
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
+from itertools import permutations, product
 from typing import Callable, Optional, Sequence
 
 import numpy as np
@@ -67,6 +68,7 @@ class SolveResult:
     sup_norm: float
     iterations: int
     converged: bool
+    wells_descended: tuple = ()  # indices into M_points of the starts taken
 
 
 @dataclass(frozen=True)
@@ -424,12 +426,48 @@ def ground_state(
     global minimality).  The basin a descent starts in sets its level,
     so it starts once at each minimum of V in M_points order
     (`default_init`), or once at `init` when given; `_best_descent`
-    picks the run.
+    picks the run.  A well that a grid symmetry of V and Lambda maps
+    onto an earlier well shares its descent (`_distinct_wells`).
     """
     problem = NehariProblem.penalized(config, grid, table)
-    wells = range(len(config.potential.M_points))
-    starts = [init] if init is not None else (default_init(config, grid, k) for k in wells)
-    return _best_descent(problem, starts, tolerances)
+    if init is not None:
+        return _best_descent(problem, [init], tolerances)
+    wells = _distinct_wells(problem, config.potential.M_points)
+    result = _best_descent(problem, (default_init(config, grid, k) for k in wells), tolerances)
+    return replace(result, wells_descended=tuple(wells))
+
+
+def _reflect(a: np.ndarray, axes) -> np.ndarray:
+    """a(x) -> a(-x) along `axes` on the periodic grid: index i -> (n - i) mod n."""
+    for ax in axes:
+        a = np.roll(np.flip(a, ax), 1, ax)
+    return a
+
+
+def _distinct_wells(problem: NehariProblem, points) -> list:
+    """Indices of the wells left after dropping every well that a grid
+    symmetry of the problem maps onto an earlier kept one.
+
+    The symmetries tried are the signed axis permutations about the grid
+    origin, x_i -> sign_i x_perm[i]; one counts only when it leaves V
+    and the Lambda mask exactly unchanged.  The symbol and the pointwise
+    g are equivariant under all of them, so a dropped well's descent
+    would be the mirror image of the kept one, at the same level up to
+    round-off, which the earlier start wins in `_best_descent`.
+    """
+    n = problem.grid.n_dim
+    syms = []
+    for perm, signs in product(permutations(range(n)), product((1.0, -1.0), repeat=n)):
+        flipped = [ax for ax in range(n) if signs[ax] < 0.0]
+        if all(np.array_equal(np.transpose(_reflect(a, flipped), perm), a)
+               for a in (problem.V, problem.in_lambda)):
+            syms.append((perm, signs))
+    kept = []
+    for k, pt in enumerate(points):
+        images = {tuple(sg * pt[i] for sg, i in zip(signs, perm)) for perm, signs in syms}
+        if not any(tuple(points[j]) in images for j in kept):
+            kept.append(k)
+    return kept
 
 
 def autonomous_ground_state(
@@ -453,7 +491,9 @@ def _best_descent(problem, starts, tolerances) -> SolveResult:
     A converged run beats an unconverged one.  A later start replaces
     the best only when its level is lower by more than 1e-10 relative,
     so the earliest start keeps a round-off tie: the levels of mirror
-    wells differ by a few ulp either way.
+    wells differ by a few ulp either way.  Wells that a grid symmetry of
+    V and Lambda maps onto an earlier well share its descent and never
+    reach this loop (`_distinct_wells`).
     """
     best = None
     for start in starts:
@@ -702,8 +742,6 @@ def grid_for_eps(config: ModelConfig, eps: float, points_per_dim: int, margin: f
 
 
 def with_eps(config: ModelConfig, eps: float) -> ModelConfig:
-    from dataclasses import replace
-
     return replace(config, eps=eps)
 
 

@@ -282,8 +282,10 @@ class TestSolve:
         _, out = solve_out
         with open(os.path.join(out, "manifest.json")) as f:
             man = json.load(f)
-        assert set(man) == {"config_hash", "seed", "version", "outputs"}
+        assert set(man) == {"config_hash", "seed", "version", "outputs", "wells_descended"}
         assert man["seed"] == 0
+        # the mirror well (1, 0) shares the descent from (-1, 0)
+        assert man["wells_descended"] == [0]
         assert len(man["config_hash"]) == 64
 
     def test_determinism_bit_identical(self, solve_out, tmp_path):

@@ -2,6 +2,8 @@
 and the energy and gradient that the solver's problem object builds
 from them."""
 
+import os
+
 import numpy as np
 import pytest
 from scipy.integrate import quad
@@ -22,7 +24,12 @@ from frns.model import (
     solve_penalization_threshold,
     validate_config,
 )
-from frns.solver import AutonomousConfig, NehariProblem
+from frns.solver import AutonomousConfig, NehariProblem, grid_for_eps
+from frns.cli import build_config, load_config
+
+REPO = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+SHIPPED = [os.path.join(REPO, "configs", name)
+           for name in ("double_well_2d.cfg", "single_well_1d.cfg")]
 
 
 FRAC = FracParams(s=0.5, m=1.0, n_dim=2)
@@ -174,6 +181,35 @@ class TestPenalizedNonlinearity:
                 assert err < 1e-12
                 got = G_eval(cfg, mask, np.array([t_end]))[0]
                 assert got == pytest.approx(ref, rel=1e-10)
+
+
+def _g_all_pow(config, in_lambda, t):
+    """g(x, t) with every entry, zeros and negatives too, through pow."""
+    nl, pot, pen = config.nonlin, config.potential, config.pen
+    t = np.asarray(t, dtype=float)
+    tp = np.maximum(t, 0.0)
+    full = nl.f(tp) + tp ** (config.two_star - 1.0)
+    linear = (pot.V1 / pen.kappa) * t
+    outside_high = np.logical_and(np.logical_not(in_lambda), t >= pen.a)
+    return np.where(outside_high, linear, full)
+
+
+@pytest.mark.parametrize("path", SHIPPED, ids=os.path.basename)
+def test_g_skipping_pow_on_nonpositive_is_bit_equal(path):
+    # g_eval takes pow only where t > 0; the values must not move
+    cfg, _ = build_config(load_config(path))
+    grid = grid_for_eps(cfg, cfg.eps, 64)
+    mask = lambda_mask(cfg, grid)
+    a = cfg.pen.a
+    rng = np.random.default_rng(0)
+    t = rng.permutation(np.linspace(-a, 3.0 * a, grid.total_points)).reshape(grid.shape)
+    t.flat[::4] = 0.0
+    t.flat[1] = a
+    outside = np.logical_not(mask)
+    assert np.any(t < 0.0) and np.any(t == 0.0)
+    assert np.any(mask & (t > 0.0)) and np.any(outside & (t == a))
+    assert np.any(outside & (t > a))
+    assert np.array_equal(g_eval(cfg, mask, t), _g_all_pow(cfg, mask, t))
 
 
 class TestEnergyAndGradient:

@@ -204,6 +204,79 @@ class TestGroundState:
         assert res.argmax_point[0] > 0.0
 
 
+GRID_64 = Grid(2, 64, 18.0)
+
+
+@pytest.fixture
+def descents(monkeypatch):
+    """The starts `_descend` is called with, in order."""
+    import frns.solver as solver
+
+    starts = []
+    real = solver._descend
+
+    def counting(problem, start, tol):
+        starts.append(start)
+        return real(problem, start, tol)
+
+    monkeypatch.setattr(solver, "_descend", counting)
+    return starts
+
+
+class TestSymmetricWells:
+    """Wells that a grid symmetry of V and Lambda maps onto an earlier
+    well share its descent; anything short of exact symmetry descends
+    from every well."""
+
+    def test_mirror_wells_descend_once(self, descents):
+        import frns.solver as solver
+
+        cfg = default_config()
+        res = ground_state(cfg, GRID_64)
+        assert len(descents) == 1 and res.wells_descended == (0,)
+        problem = NehariProblem.penalized(cfg, GRID_64)
+        both = solver._best_descent(
+            problem, [default_init(cfg, GRID_64, k) for k in (0, 1)], solver.Tolerances())
+        assert len(descents) == 3
+        assert res.energy == both.energy
+        assert np.array_equal(res.field.values, both.field.values)
+
+    def test_axis_swap_joins_four_wells(self, descents):
+        pot = replace(POT, M_points=((-1.0, 0.0), (1.0, 0.0), (0.0, -1.0), (0.0, 1.0)))
+        res = ground_state(replace(default_config(), potential=pot), GRID_64)
+        assert len(descents) == 1 and res.wells_descended == (0,)
+        assert res.converged
+
+    def test_mirror_wells_on_the_line_descend_once(self, descents):
+        frac = FracParams(s=0.25, m=1.0, n_dim=1)
+        pot = PotentialSpec(V1=0.2, V0=0.2, M_points=((-0.5,), (0.5,)),
+                            lambda_center=(0.0,), lambda_radius=1.0)
+        a = solve_penalization_threshold(frac, NL, pot.V1, 10.0)
+        cfg = ModelConfig(frac=frac, eps=0.25, potential=pot, nonlin=NL,
+                          pen=PenalizationSpec(kappa=10.0, a=a))
+        res = ground_state(cfg, grid_for_eps(cfg, cfg.eps, 256))
+        assert len(descents) == 1 and res.wells_descended == (0,)
+
+    # V is unchanged by the reflection x -> -x (first case) or by the
+    # axis swap (second case) that maps one well onto the other, but
+    # the off-centre Lambda is not
+    @pytest.mark.parametrize("wells", [((-1.0, 0.0), (1.0, 0.0)), ((1.0, 0.0), (0.0, 1.0))])
+    def test_off_centre_lambda_descends_from_both(self, descents, wells):
+        pot = replace(POT, M_points=wells, lambda_center=(0.3, 0.0))
+        res = ground_state(replace(default_config(), potential=pot), GRID_64)
+        assert len(descents) == 2 and res.wells_descended == (0, 1)
+
+    def test_unequal_wells_descend_from_both(self, descents):
+        pot = replace(POT, M_points=((-1.9, 0.0), (1.0, 0.0)))
+        res = ground_state(replace(default_config(), potential=pot), GRID_64)
+        assert len(descents) == 2 and res.wells_descended == (0, 1)
+
+    def test_init_descends_once(self, descents):
+        cfg = default_config()
+        res = ground_state(cfg, GRID_64, init=default_init(cfg, GRID_64, 1))
+        assert len(descents) == 1 and res.wells_descended == ()
+
+
 GRID_32 = Grid(2, 32, 18.0)
 PROBLEMS_32 = {
     "penalized": NehariProblem.penalized(default_config(), GRID_32),
