@@ -521,6 +521,9 @@ def cmd_sweep(args) -> int:
     if not all(math.isfinite(e) and e > 0 for e in eps_list):
         print("eps values must be positive and finite", file=sys.stderr)
         return EXIT_INVALID
+    if args.jobs < 0:
+        print("--jobs must be 0 (one per core) or positive", file=sys.stderr)
+        return EXIT_INVALID
     os.makedirs(args.out, exist_ok=True)
 
     # eps-independent reference level d at constant potential -V0

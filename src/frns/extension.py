@@ -5,14 +5,15 @@ U(., 0) = u diagonalizes per Fourier mode: the mode at frequency k is
 damped by theta(y sqrt(|k|^2 + m^2)), where theta is the Bessel profile
 from specfun.  We therefore never mesh the (N+1)-dimensional problem;
 a stack of horizontal slabs at chosen heights carries everything needed
-for the Dirichlet-to-Neumann limit and the weighted energy.
+for the Dirichlet-to-Neumann limit and the weighted energy.  Slabs and
+x-derivatives are half-spectrum multipliers (`operator.spectral_multiply`).
 """
 
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .operator import Field, Grid, GridMismatchError
+from .operator import Field, Grid, GridMismatchError, spectral_multiply
 from .specfun import DomainError, FracParams, theta_profile
 
 
@@ -55,13 +56,11 @@ def extend(u: Field, params: FracParams, y_levels=None) -> ExtensionStack:
         y_levels = default_y_levels(params.m)
     y_levels = np.asarray(y_levels, dtype=float)
 
-    w = np.sqrt(g.k_squared() + params.m**2)
-    uhat = np.fft.fftn(u.values)
+    w = np.sqrt(g.half_k_squared() + params.m**2)
     slabs = np.empty((len(y_levels),) + g.shape)
     slabs[0] = u.values
     for j, y in enumerate(y_levels[1:], start=1):
-        damp = theta_profile(params.s, y * w)
-        slabs[j] = np.fft.ifftn(uhat * damp).real
+        slabs[j] = spectral_multiply(theta_profile(params.s, y * w), u.values)
     return ExtensionStack(grid=g, params=params, y_levels=y_levels, slabs=slabs)
 
 
@@ -117,11 +116,13 @@ def conormal_derivative(stack: ExtensionStack, params: FracParams):
 
 
 def _spectral_gradient_sq(u_vals: np.ndarray, grid: Grid) -> np.ndarray:
-    """|grad_x u|^2 by spectral differentiation."""
-    uhat = np.fft.fftn(u_vals)
+    """|grad_x u|^2 by spectral differentiation; i k_j is zeroed at the
+    Nyquist mode of axis j, its own mirror, where it has no real part."""
     acc = np.zeros(grid.shape)
-    for k in grid.wavenumbers():
-        acc += np.fft.ifftn(1j * k * uhat).real ** 2
+    for k in grid.half_wavenumbers():
+        k = k.copy()
+        k.flat[grid.points_per_dim // 2] = 0.0
+        acc += spectral_multiply(1j * k, u_vals) ** 2
     return acc
 
 

@@ -208,8 +208,9 @@ def validate_config(cfg: "ModelConfig"):
         raise AssumptionError("(f2)", f"need q in (p, 2*_s), got q={nl.q}")
     if not nl.lam > 0.0:
         raise AssumptionError("(f2)", f"need lambda > 0, got {nl.lam}")
-    if not 2.0 < nl.ar_theta < nl.q:
-        raise AssumptionError("(f2)", f"need ar_theta in (2, q), got {nl.ar_theta}")
+    # theta F(t) <= f(t) t holds for the pure power f = lam t^(p-1) only up to p
+    if not 2.0 < nl.ar_theta <= nl.p:
+        raise AssumptionError("(f2)", f"need ar_theta in (2, p], got {nl.ar_theta}")
     kappa_min = max(pot.V1 / (m2s - pot.V1), nl.ar_theta / (nl.ar_theta - 2.0))
     if not pen.kappa > kappa_min:
         raise AssumptionError(

@@ -2,10 +2,10 @@
 
 The box [-L, L)^N stands in for R^N: decaying functions are truncated
 periodically and the operator acts mode by mode through the symbol
-(|k|^2 + m^2)^s.  Fields are real, so the spectral path uses real FFTs
-(numpy.fft.rfftn / irfftn) and tabulates the symbol on the half
-spectrum only: the last axis keeps the modes 0..n/2, whose complex
-conjugates are the rest of the spectrum.  A direct principal-value
+(|k|^2 + m^2)^s.  This is the program's one Fourier layer: fields are
+real, so every spectral multiplier (`spectral_multiply`) and quadratic
+form (`spectral_sum`) runs on real FFTs with its weight on the half
+spectrum, whose last axis keeps the modes 0..n/2.  A direct principal-value
 quadrature of the singular-integral form is kept (1D only) as an
 independent cross-check of the spectral path, and the resolvent /
 Bessel-kernel pair gives the Green-function view.
@@ -40,8 +40,11 @@ class Grid:
         n = self.points_per_dim
         if n < 32 or (n & (n - 1)) != 0:
             raise DomainError(f"points_per_dim must be a power of two >= 32, got {n}")
-        if not self.half_length > 0.0:
-            raise DomainError("half_length must be positive")
+        h = np.float64(self.spacing)  # h^N weights every sum; (pi/h)^2 is the top |k|^2
+        with np.errstate(all="ignore"):
+            if not (h > 0.0 and 0.0 < h**self.n_dim < np.inf and 0.0 < (np.pi / h) ** 2 < np.inf):
+                raise DomainError(f"half_length {self.half_length}: h^N or (pi/h)^2 is not "
+                                  "a positive finite number")
         if n**self.n_dim > MAX_TOTAL_POINTS:
             raise DomainError(
                 f"total points {n**self.n_dim} exceed desk-scale cap {MAX_TOTAL_POINTS}"
@@ -77,22 +80,18 @@ class Grid:
             acc += (x - c) ** 2
         return np.sqrt(acc)
 
-    def wavenumbers(self) -> list:
-        """Meshgrid frequency arrays k_j = pi * integer / L per dimension."""
-        k1 = 2.0 * np.pi * np.fft.fftfreq(self.points_per_dim, d=self.spacing)
-        return list(np.meshgrid(*(k1,) * self.n_dim, indexing="ij"))
-
-    def k_squared(self) -> np.ndarray:
-        acc = np.zeros(self.shape)
-        for k in self.wavenumbers():
-            acc += k * k
-        return acc
+    def half_wavenumbers(self) -> list:
+        """k_j = pi * integer / L per axis, broadcasting to the shape of rfftn
+        of a field: fftfreq order on every axis but the last, which holds
+        the modes 0..n/2 (rfftfreq).  Index n/2 is each axis's Nyquist mode."""
+        n, d = self.points_per_dim, self.spacing
+        ks = [np.fft.fftfreq(n, d=d)] * (self.n_dim - 1) + [np.fft.rfftfreq(n, d=d)]
+        return [(2.0 * np.pi * k).reshape((-1,) + (1,) * (self.n_dim - 1 - j))
+                for j, k in enumerate(ks)]
 
     def half_k_squared(self) -> np.ndarray:
         """|k|^2 on the half spectrum, the shape of rfftn of a field."""
-        # on the last axis the full lattice runs 0, 1, .., n/2 - 1, -n/2, ..;
-        # its first n/2 + 1 entries have the |k| of the rfft modes 0..n/2
-        return self.k_squared()[..., : self.points_per_dim // 2 + 1]
+        return sum(k * k for k in self.half_wavenumbers())
 
 
 @dataclass(frozen=True)
@@ -139,6 +138,12 @@ class KernelTable:
     params: FracParams
     symbol: np.ndarray = field(repr=False)
 
+    def form(self, values) -> float:
+        """<Av, v> = h^N/n^N sum_k symbol |v_hat|^2 of raw samples on `grid`,
+        computed in k-space (`spectral_sum`)."""
+        g = self.grid
+        return float(g.spacing**g.n_dim / g.total_points * spectral_sum(self.symbol, values))
+
 
 def build_symbol(grid: Grid, params: FracParams) -> KernelTable:
     """Tabulate (|k|^2 + m^2)^s on the half-spectrum frequency lattice."""
@@ -155,9 +160,17 @@ def apply_operator(u: Field, table: KernelTable) -> Field:
     the quadratic form <Au, u> is the discrete H^s norm squared.
     """
     u.check_same_grid(table.grid)
-    g = u.grid
-    out = irfftn(table.symbol * rfftn(u.values), s=g.shape, axes=range(g.n_dim))
-    return Field(grid=g, values=out)
+    return Field(grid=u.grid, values=spectral_multiply(table.symbol, u.values))
+
+
+def spectral_multiply(weight, values):
+    """irfftn(weight * rfftn(values)), `weight` given on the half spectrum.
+
+    irfftn reads a Hermitian spectrum, so weight(-k) = conj(weight(k)) must
+    hold, where each axis's Nyquist mode is its own mirror: real even
+    weights qualify, a derivative i k_j only once zeroed at that mode.
+    """
+    return irfftn(weight * rfftn(values), s=values.shape, axes=range(values.ndim))
 
 
 def spectral_sum(weight, values):
@@ -174,12 +187,9 @@ def spectral_sum(weight, values):
 
 
 def operator_quadratic_form(u: Field, table: KernelTable) -> float:
-    """<Au, u> = h^N/n^N sum_k symbol |u_hat|^2, computed in k-space
-    (`spectral_sum`)."""
+    """<Au, u>, the discrete H^s norm squared (`KernelTable.form`)."""
     u.check_same_grid(table.grid)
-    g = u.grid
-    w = g.spacing**g.n_dim / g.total_points
-    return float(w * spectral_sum(table.symbol, u.values))
+    return table.form(u.values)
 
 
 def solve_resolvent(mu: Field, table: KernelTable) -> Field:
@@ -189,9 +199,7 @@ def solve_resolvent(mu: Field, table: KernelTable) -> Field:
     well posed and apply_operator(z) recovers mu to round-off.
     """
     mu.check_same_grid(table.grid)
-    g = mu.grid
-    out = irfftn(rfftn(mu.values) / table.symbol, s=g.shape, axes=range(g.n_dim))
-    return Field(grid=g, values=out)
+    return Field(grid=mu.grid, values=spectral_multiply(1.0 / table.symbol, mu.values))
 
 
 def bessel_kernel(params: FracParams, r):

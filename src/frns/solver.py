@@ -17,17 +17,8 @@ from itertools import permutations, product
 from typing import Callable, Optional, Sequence
 
 import numpy as np
-from numpy.fft import irfftn, rfftn
 
-from .operator import (
-    Field,
-    Grid,
-    KernelTable,
-    apply_operator,
-    build_symbol,
-    operator_quadratic_form,
-    spectral_sum,
-)
+from .operator import Field, Grid, KernelTable, build_symbol, spectral_multiply, spectral_sum
 from .model import (
     AssumptionError,
     ModelConfig,
@@ -169,10 +160,7 @@ class NehariProblem:
 
     def quadratic(self, u_vals) -> float:
         """||u||^2 = <Au, u> + sum V u^2 h^N (one forward FFT)."""
-        uf = Field(grid=self.grid, values=u_vals)
-        return operator_quadratic_form(uf, self.table) + self.cell_volume * float(
-            np.sum(self.V * u_vals**2)
-        )
+        return self.table.form(u_vals) + self.cell_volume * float(np.sum(self.V * u_vals**2))
 
     def energy(self, u_vals, quad=None, t=1.0) -> float:
         """J(t u); pass quad = ||u||^2 when known to skip its FFT."""
@@ -182,8 +170,8 @@ class NehariProblem:
 
     def gradient(self, u_vals) -> np.ndarray:
         """L^2 gradient J'(u) = A u + V u - g(x, u)."""
-        Au = apply_operator(Field(grid=self.grid, values=u_vals), self.table)
-        return Au.values + self.V * u_vals - self.g(u_vals)
+        Au = spectral_multiply(self.table.symbol, u_vals)
+        return Au + self.V * u_vals - self.g(u_vals)
 
     def nehari_scale(self, u_vals) -> tuple:
         """(t, J(t u)) for the unique t > 0 with <J'(t u), t u> = 0.
@@ -348,7 +336,7 @@ def _descend(problem: NehariProblem, init_vals: np.ndarray, tol: Tolerances):
         if gres <= tol.grad:
             converged = True
             break
-        direction = irfftn(rfftn(pg) * precond, s=pg.shape, axes=range(pg.ndim))
+        direction = spectral_multiply(precond, pg)
         # two-metric projection: near the active set the smoothing
         # preconditioner can point into the constraint and lift nearly
         # clipped points whose full gradient is positive, turning the
@@ -752,7 +740,7 @@ def concentration_sweep(
     tolerances: Tolerances = Tolerances(),
     jobs: int = 1,
 ) -> list:
-    """Solve across decreasing eps and track where the maximum sits.
+    """Solve across decreasing eps on `jobs` threads; track the maximum.
 
     Each row is the `solve_report` of one solve plus eps, the grid
     (grid_points, half_length), the rescaled argmax distance to the
@@ -777,9 +765,7 @@ def concentration_sweep(
                    error=None)
         return row
 
-    if jobs > 1:
-        from concurrent.futures import ThreadPoolExecutor
+    from concurrent.futures import ThreadPoolExecutor  # 10 ms to import; only sweep uses it
 
-        with ThreadPoolExecutor(max_workers=jobs) as ex:
-            return list(ex.map(run_one, eps_list))
-    return [run_one(eps) for eps in eps_list]
+    with ThreadPoolExecutor(max_workers=jobs) as ex:
+        return list(ex.map(run_one, eps_list))

@@ -156,6 +156,13 @@ class TestExitCodes:
         assert main(["validate", "--config", p]) == EXIT_INVALID
         assert "kappa" in capsys.readouterr().err
 
+    def test_validate_ar_theta_above_p(self, tmp_path, capsys):
+        # theta F(t) <= f(t) t fails for the pure power once theta > p = 3
+        bad = open(CFG_2D).read().replace("nonlin.ar_theta = 3.0", "nonlin.ar_theta = 3.4")
+        p = write_cfg(tmp_path, bad)
+        assert main(["validate", "--config", p]) == EXIT_INVALID
+        assert "(f2)" in capsys.readouterr().err
+
     def test_parse_error_exit_code(self, tmp_path, capsys):
         p = write_cfg(tmp_path, "what is this\n")
         assert main(["validate", "--config", p]) == EXIT_PARSE
@@ -179,6 +186,15 @@ class TestExitCodes:
         p = write_cfg(tmp_path, text.replace(line, bad))
         assert main(["validate", "--config", p]) == EXIT_PARSE
         assert "not a finite number" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("half_length", ["1e-300", "1e308"])
+    def test_extreme_half_length_is_invalid(self, tmp_path, capsys, half_length):
+        # h^N underflows to 0 and (pi/h)^2 overflows, or h itself is inf
+        p = write_cfg(tmp_path, open(CFG_2D).read() + f"grid.half_length = {half_length}\n")
+        assert main(["solve", "--config", p, "--out", str(tmp_path / "o")]) == EXIT_INVALID
+        err = capsys.readouterr().err
+        assert err.startswith("invalid parameters:")
+        assert err.count("\n") == 1
 
     def test_solve_with_empty_start_is_a_numerical_failure(self, tmp_path, capsys):
         # at eps = 0.01 the well sits at x = -100, so on [-5, 5)^2 the
@@ -206,6 +222,11 @@ class TestExitCodes:
             "--eps", "0.5", "nan", "0.1",
         ])
         assert code == EXIT_INVALID
+
+    def test_sweep_rejects_negative_jobs(self, tmp_path, capsys):
+        code = main(["sweep", "--config", CFG_2D, "--out", str(tmp_path / "o"), "--jobs", "-1"])
+        assert code == EXIT_INVALID
+        assert "--jobs" in capsys.readouterr().err
 
 
 class TestWriteCsv:

@@ -8,6 +8,7 @@ from frns.specfun import DomainError, FracParams, sigma_s, theta_profile
 from frns.operator import Field, Grid, apply_operator, build_symbol, norm_l2
 from frns.extension import (
     ExtensionStack,
+    _spectral_gradient_sq,
     conormal_derivative,
     default_y_levels,
     extend,
@@ -63,6 +64,37 @@ class TestExtend:
             extend(u, params, y_levels=np.array([0.1, 0.2]))
         with pytest.raises(DomainError):
             extend(u, params, y_levels=np.array([0.0, 0.2, 0.2]))
+
+
+class TestHalfSpectrumMatchesFullSpectrum:
+    # the complex full-spectrum formulas, on a rough random field whose
+    # Nyquist modes carry as much as any other
+
+    @staticmethod
+    def full_lattice(n_dim, n):
+        grid = Grid(n_dim, n, 5.0)
+        u = np.random.default_rng(7).standard_normal(grid.shape)
+        k1 = 2.0 * np.pi * np.fft.fftfreq(n, d=grid.spacing)
+        return grid, u, np.meshgrid(*(k1,) * n_dim, indexing="ij"), np.fft.fftn(u)
+
+    @pytest.mark.parametrize("n_dim, n", [(1, 64), (2, 32)])
+    def test_extend_slabs(self, n_dim, n):
+        grid, u, ks, uhat = self.full_lattice(n_dim, n)
+        params = FracParams(s=0.3, m=1.5, n_dim=n_dim)
+        stack = extend(Field(grid=grid, values=u), params)
+        w = np.sqrt(sum(k * k for k in ks) + params.m**2)
+        for y, slab in zip(stack.y_levels[1:], stack.slabs[1:]):
+            ref = np.fft.ifftn(uhat * theta_profile(params.s, y * w)).real
+            assert np.max(np.abs(slab - ref)) <= 1e-13
+
+    @pytest.mark.parametrize("n_dim, n", [(1, 64), (2, 32)])
+    def test_spectral_gradient_sq(self, n_dim, n):
+        # .real of the complex odd derivative drops each differentiated
+        # axis's Nyquist mode; the half-spectrum path must zero it too
+        grid, u, ks, uhat = self.full_lattice(n_dim, n)
+        ref = sum(np.fft.ifftn(1j * k * uhat).real ** 2 for k in ks)
+        got = _spectral_gradient_sq(u, grid)
+        assert np.max(np.abs(got - ref)) <= 1e-13 * np.max(ref)
 
 
 class TestConormalDerivative:

@@ -1,6 +1,9 @@
 """Spectral operator on the periodic grid: algebraic identities and the
 independent singular-integral / Green-function cross-checks."""
 
+import ast
+import os
+
 import numpy as np
 import pytest
 
@@ -18,6 +21,40 @@ from frns.operator import (
     operator_quadratic_form,
     solve_resolvent,
 )
+
+
+SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src", "frns")
+
+
+def numpy_fft_lines(path) -> list:
+    """Lines where a module imports numpy.fft or reads np.fft / numpy.fft."""
+    with open(path, encoding="utf-8") as f:
+        tree = ast.parse(f.read())
+    lines = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            hit = any(a.name.startswith("numpy.fft") for a in node.names)
+        elif isinstance(node, ast.ImportFrom):
+            mod = node.module or ""
+            hit = mod.startswith("numpy.fft") or (
+                mod == "numpy" and any(a.name == "fft" for a in node.names))
+        else:
+            hit = (isinstance(node, ast.Attribute) and node.attr == "fft"
+                   and isinstance(node.value, ast.Name) and node.value.id in ("np", "numpy"))
+        if hit:
+            lines.append(node.lineno)
+    return lines
+
+
+class TestOneFourierLayer:
+    # how a real field is stored in Fourier space (the half spectrum of
+    # rfftn) is decided in operator.py alone: every spectral multiplier
+    # and quadratic form of the program goes through it
+
+    def test_only_operator_touches_numpy_fft(self):
+        users = {name: numpy_fft_lines(os.path.join(SRC, name))
+                 for name in sorted(os.listdir(SRC)) if name.endswith(".py")}
+        assert {name for name, lines in users.items() if lines} == {"operator.py"}, users
 
 
 def make(n_dim=2, n=64, L=10.0, s=0.5, m=1.0):
@@ -103,7 +140,9 @@ class TestSpectralIdentities:
             u = Field(grid=grid, values=rng.standard_normal(grid.shape))
             q = operator_quadratic_form(u, table)
             assert q == pytest.approx(inner(apply_operator(u, table), u), rel=1e-12)
-            full_symbol = (grid.k_squared() + params.m**2) ** params.s
+            k1 = 2.0 * np.pi * np.fft.fftfreq(grid.points_per_dim, d=grid.spacing)
+            k_sq = sum(k * k for k in np.meshgrid(*(k1,) * n_dim, indexing="ij"))
+            full_symbol = (k_sq + params.m**2) ** params.s
             w = grid.spacing**n_dim / grid.total_points
             full = w * np.sum(full_symbol * np.abs(np.fft.fftn(u.values)) ** 2)
             assert q == pytest.approx(full, rel=1e-12)
