@@ -41,7 +41,7 @@ class NoBracketError(RuntimeError):
 
 @dataclass(frozen=True)
 class Tolerances:
-    grad: float = 1e-6          # relative max-norm of the energy gradient
+    grad: float = 1e-6          # relative max-norm of the projected (KKT) gradient
     max_iterations: int = 20000
     stall_limit: int = 60       # consecutive rejected steps before giving up
 
@@ -294,24 +294,33 @@ def nehari_scale(u: Field, config) -> float:
     return problem.nehari_scale(u.values)[0]
 
 
-def _projected_gradient(u_vals, grad) -> np.ndarray:
-    """KKT residual for minimization over the cone u >= 0: the full
-    gradient where u is interior, only its negative part on the active
-    set (there the discrete kernel's sign ripples can leave grad > 0,
-    which is optimal for the constrained problem, not a defect).  The
-    active set is taken with a round-off margin: pushing a value of
-    1e-12 sup to exactly zero changes the energy by nothing measurable."""
+def _projected_gradient(u_vals, grad) -> tuple:
+    """(pg, active) for minimization over the cone u >= 0.  The active
+    set is u <= 1e-12 sup u, a round-off margin (pushing such a value to
+    exactly zero changes the energy by nothing measurable); the KKT
+    residual pg is grad off it and only its negative part on it (there
+    the discrete kernel's sign ripples can leave grad > 0, which is
+    optimal for the constrained problem, not a defect)."""
     active = u_vals <= 1e-12 * np.max(u_vals)
-    return np.where(active, np.minimum(grad, 0.0), grad)
+    return np.where(active, np.minimum(grad, 0.0), grad), active
+
+
+def _descent_direction(grad, pg, active, precond) -> np.ndarray:
+    """The two-metric step (Bertsekas 1982) on the active set of
+    `_projected_gradient`: off it the preconditioned pg; on it, where
+    grad > 0, the raw gradient, since the smoothing preconditioner could
+    point into the constraint there and lift clipped points."""
+    return np.where(active & (grad > 0.0), grad, spectral_multiply(precond, pg))
 
 
 def _descend(problem: NehariProblem, init_vals: np.ndarray, tol: Tolerances):
-    """Nehari-constrained projected gradient descent.
+    """Nehari-constrained two-metric projected gradient descent.
 
-    The raw gradient is preconditioned by the inverse symbol (a cheap
-    resolvent solve per step); unpreconditioned descent oscillates in
-    the stiff high-frequency modes once the step grows past their
-    stability limit and the iteration plateaus far from tolerance.
+    The KKT residual of the cone (`_projected_gradient`) is the
+    convergence test and, preconditioned by the inverse symbol, the step
+    off its active set; unpreconditioned descent oscillates in the stiff
+    high-frequency modes and plateaus far from tolerance.  The step's
+    raw-gradient override uses the same active set (`_descent_direction`).
 
     Returns (values, energy, iterations, converged).
     """
@@ -330,19 +339,12 @@ def _descend(problem: NehariProblem, init_vals: np.ndarray, tol: Tolerances):
     it = 0
     converged = False
     for it in range(1, tol.max_iterations + 1):
-        full_grad = problem.gradient(u)
-        pg = _projected_gradient(u, full_grad)
-        gres = np.max(np.abs(pg)) / max(np.max(np.abs(u)), 1e-300)
-        if gres <= tol.grad:
+        grad = problem.gradient(u)
+        pg, active = _projected_gradient(u, grad)
+        if np.max(np.abs(pg)) / max(np.max(np.abs(u)), 1e-300) <= tol.grad:
             converged = True
             break
-        direction = spectral_multiply(precond, pg)
-        # two-metric projection: near the active set the smoothing
-        # preconditioner can point into the constraint and lift nearly
-        # clipped points whose full gradient is positive, turning the
-        # step into an ascent direction; use the raw gradient there
-        near_active = np.logical_and(u <= 1e-6 * np.max(u), full_grad > 0.0)
-        direction = np.where(near_active, full_grad, direction)
+        direction = _descent_direction(grad, pg, active, precond)
         accepted = False
         step = min(step * 1.5, 2.0)
         for _ in range(40):
@@ -372,12 +374,12 @@ def _package_result(problem: NehariProblem, u_vals, E, iterations, converged) ->
     idx = np.unravel_index(int(np.argmax(u_vals)), g.shape)
     axis = g.axis()
     point = tuple(float(axis[i]) for i in idx)
-    grad = _projected_gradient(u_vals, problem.gradient(u_vals))
+    pg, _ = _projected_gradient(u_vals, problem.gradient(u_vals))
     return SolveResult(
         field=Field(grid=g, values=u_vals),
         energy=float(E),
         nehari_residual=problem.nehari_residual(u_vals),
-        grad_residual=float(np.max(np.abs(grad)) / max(np.max(np.abs(u_vals)), 1e-300)),
+        grad_residual=float(np.max(np.abs(pg)) / max(np.max(np.abs(u_vals)), 1e-300)),
         argmax_point=point,
         argmax_index=tuple(int(i) for i in idx),
         sup_norm=float(np.max(u_vals)),
@@ -479,9 +481,7 @@ def _best_descent(problem, starts, tolerances) -> SolveResult:
     A converged run beats an unconverged one.  A later start replaces
     the best only when its level is lower by more than 1e-10 relative,
     so the earliest start keeps a round-off tie: the levels of mirror
-    wells differ by a few ulp either way.  Wells that a grid symmetry of
-    V and Lambda maps onto an earlier well share its descent and never
-    reach this loop (`_distinct_wells`).
+    wells differ by a few ulp either way.
     """
     best = None
     for start in starts:
