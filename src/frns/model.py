@@ -228,13 +228,14 @@ def validate_config(cfg: "ModelConfig"):
         raise AssumptionError("(V2)", f"eps must be positive, got {cfg.eps}")
 
 
-def _boundary_min(pot: PotentialSpec, n_dim: int, n_samples: int = 720) -> float:
-    """min of V over a sample of the sphere bounding Lambda."""
+def _boundary_min(pot: PotentialSpec, n_dim: int) -> float:
+    """min of V over the sphere bounding Lambda: its two points in 1D,
+    720 equispaced points of the circle in 2D."""
     c = np.asarray(pot.lambda_center)
     if n_dim == 1:
         pts = np.array([[c[0] - pot.lambda_radius], [c[0] + pot.lambda_radius]])
     else:
-        phi = np.linspace(0.0, 2.0 * np.pi, n_samples, endpoint=False)
+        phi = np.linspace(0.0, 2.0 * np.pi, 720, endpoint=False)
         pts = np.stack(
             [c[0] + pot.lambda_radius * np.cos(phi), c[1] + pot.lambda_radius * np.sin(phi)],
             axis=1,

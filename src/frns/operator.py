@@ -255,8 +255,7 @@ def apply_operator_singular(
     s, m = params.s, params.m
     h = g.spacing
     nu = (1.0 + 2.0 * s) / 2.0
-    consts = kernel_constants(params)
-    pref = consts.C_Ns * m**nu
+    pref = kernel_constants(params) * m**nu
 
     n = g.points_per_dim
     n_off = min(int(truncation_radius / h), n // 2 - 1)

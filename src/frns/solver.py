@@ -41,9 +41,11 @@ class NoBracketError(RuntimeError):
 
 @dataclass(frozen=True)
 class Tolerances:
+    """Stopping rule of `_descend`, which also stops, unconverged, at the
+    first line search that rejects all 40 trial steps."""
+
     grad: float = 1e-6          # relative max-norm of the projected (KKT) gradient
     max_iterations: int = 20000
-    stall_limit: int = 60       # consecutive rejected steps before giving up
 
 
 @dataclass(frozen=True)
@@ -108,14 +110,12 @@ class NehariProblem:
     slope: float = 0.0          # V1/kappa, slope of the truncated branch
 
     @classmethod
-    def penalized(cls, config: ModelConfig, grid: Grid, table=None) -> "NehariProblem":
+    def penalized(cls, config: ModelConfig, grid: Grid) -> "NehariProblem":
         """Potential V(eps x) and the penalized nonlinearity g(eps x, t)."""
-        if table is None:
-            table = build_symbol(grid, config.frac)
         mask = lambda_mask(config, grid)
         return cls(
             grid=grid,
-            table=table,
+            table=build_symbol(grid, config.frac),
             V=np.broadcast_to(potential_on_grid(config, grid), grid.shape),
             in_lambda=mask,
             g=lambda t: g_eval(config, mask, t),
@@ -128,10 +128,8 @@ class NehariProblem:
         )
 
     @classmethod
-    def autonomous(cls, config: AutonomousConfig, grid: Grid, table=None) -> "NehariProblem":
+    def autonomous(cls, config: AutonomousConfig, grid: Grid) -> "NehariProblem":
         """Constant potential mu and the untruncated f(t) + (t+)^(2*_s - 1)."""
-        if table is None:
-            table = build_symbol(grid, config.frac)
         nl, two_star = config.nonlin, config.frac.two_star
 
         def g(t):
@@ -144,7 +142,7 @@ class NehariProblem:
 
         return cls(
             grid=grid,
-            table=table,
+            table=build_symbol(grid, config.frac),
             V=np.full(grid.shape, config.mu),
             in_lambda=np.ones(grid.shape, dtype=bool),
             g=g,
@@ -322,6 +320,10 @@ def _descend(problem: NehariProblem, init_vals: np.ndarray, tol: Tolerances):
     high-frequency modes and plateaus far from tolerance.  The step's
     raw-gradient override uses the same active set (`_descent_direction`).
 
+    The first line search that rejects all 40 trial steps ends the
+    descent unconverged: u, the gradient and the direction are then
+    unchanged, so another search would retry the same direction.
+
     Returns (values, energy, iterations, converged).
     """
     u = np.maximum(init_vals, 0.0)
@@ -335,7 +337,6 @@ def _descend(problem: NehariProblem, init_vals: np.ndarray, tol: Tolerances):
     precond = 1.0 / (problem.table.symbol + shift)
 
     step = 1.0
-    stall = 0
     it = 0
     converged = False
     for it in range(1, tol.max_iterations + 1):
@@ -345,7 +346,6 @@ def _descend(problem: NehariProblem, init_vals: np.ndarray, tol: Tolerances):
             converged = True
             break
         direction = _descent_direction(grad, pg, active, precond)
-        accepted = False
         step = min(step * 1.5, 2.0)
         for _ in range(40):
             cand = np.maximum(u - step * direction, 0.0)
@@ -357,15 +357,10 @@ def _descend(problem: NehariProblem, init_vals: np.ndarray, tol: Tolerances):
             if E_new < E - 1e-16 * abs(E):
                 u = t * cand
                 E = E_new
-                accepted = True
                 break
             step *= 0.5
-        if not accepted:
-            stall += 1
-            if stall >= tol.stall_limit:
-                break
         else:
-            stall = 0
+            break
     return u, E, it, converged
 
 
@@ -407,7 +402,6 @@ def ground_state(
     tolerances: Tolerances = Tolerances(),
     restarts: int = 3,  # unused; only perfbench/worker.py still passes it
     seed: int = 0,  # unused; only perfbench/worker.py still passes it
-    table: Optional[KernelTable] = None,
 ) -> SolveResult:
     """Minimize the penalized energy over the Nehari manifold.
 
@@ -419,7 +413,7 @@ def ground_state(
     picks the run.  A well that a grid symmetry of V and Lambda maps
     onto an earlier well shares its descent (`_distinct_wells`).
     """
-    problem = NehariProblem.penalized(config, grid, table)
+    problem = NehariProblem.penalized(config, grid)
     if init is not None:
         return _best_descent(problem, [init], tolerances)
     wells = _distinct_wells(problem, config.potential.M_points)
@@ -465,11 +459,10 @@ def autonomous_ground_state(
     grid: Grid,
     init: Optional[np.ndarray] = None,
     tolerances: Tolerances = Tolerances(),
-    table: Optional[KernelTable] = None,
 ) -> SolveResult:
     """Ground state of the constant-potential problem; estimates d_mu.
     One start, a centred bump unless `init` is given."""
-    problem = NehariProblem.autonomous(config, grid, table)
+    problem = NehariProblem.autonomous(config, grid)
     if init is None:
         init = gaussian_bump(grid, (0.0,) * grid.n_dim)
     return _best_descent(problem, [init], tolerances)
@@ -510,11 +503,7 @@ def mp_threshold(config: ModelConfig) -> float:
     return (s / N) * (z * S) ** (N / (2.0 * s))
 
 
-def estimate_s_star(
-    frac: FracParams,
-    rho_values: Optional[Sequence[float]] = None,
-    grid: Optional[Grid] = None,
-) -> dict:
+def estimate_s_star(frac: FracParams) -> dict:
     """Rayleigh-quotient estimate of the trace Sobolev constant S_*.
 
     Evaluates, over the bubble family
@@ -532,12 +521,12 @@ def estimate_s_star(
     the constant-function limit 0 on the torus).  The estimate is
     therefore read off where the curve is flattest in log rho, and an
     edge warning is raised if that plateau sits at the end of the range.
+    The family is sampled at 16 log-spaced rho in [0.02, 2], on 16384
+    points of half-length 800 in 1D and 512^2 of half-length 30 in 2D.
     """
     N, s = frac.n_dim, frac.s
-    if grid is None:
-        grid = Grid(N, 16384 if N == 1 else 512, 800.0 if N == 1 else 30.0)
-    if rho_values is None:
-        rho_values = np.geomspace(0.02, 2.0, 16)
+    grid = Grid(N, 16384 if N == 1 else 512, 800.0 if N == 1 else 30.0)
+    rho_values = np.geomspace(0.02, 2.0, 16)
     two_star = 2.0 * N / (N - 2.0 * s)
     hN = grid.spacing**grid.n_dim
     k2s = grid.half_k_squared() ** s
@@ -555,14 +544,10 @@ def estimate_s_star(
         den = (hN * float(np.sum(np.abs(u) ** two_star))) ** (2.0 / two_star)
         quotients.append(num / den)
     quotients = np.asarray(quotients)
-    if len(quotients) >= 3:
-        # central slope of log q vs log rho; flattest interior point
-        dlogq = np.abs(np.log(quotients[2:]) - np.log(quotients[:-2]))
-        i_best = 1 + int(np.argmin(dlogq))
-        edge = i_best in (1, len(quotients) - 2)
-    else:
-        i_best = int(np.argmin(quotients))
-        edge = True
+    # central slope of log q vs log rho; flattest interior point
+    dlogq = np.abs(np.log(quotients[2:]) - np.log(quotients[:-2]))
+    i_best = 1 + int(np.argmin(dlogq))
+    edge = i_best in (1, len(quotients) - 2)
     if edge:
         import warnings
 
@@ -607,9 +592,9 @@ def shell_envelope(result: SolveResult) -> tuple:
     return (np.arange(env.size) + 0.5) * width, env
 
 
-def decay_fit(result: SolveResult, lo_frac=1e-8, hi_frac=1e-2) -> dict:
+def decay_fit(result: SolveResult) -> dict:
     """Least-squares fit u ~ C1 exp(-C2 |x - x_max|) on the annulus
-    where u is between lo_frac and hi_frac of its sup.
+    where u is between 1e-8 and 1e-2 of its sup.
 
     The fit runs on the radial shell envelope (`shell_envelope`), not
     on raw grid values: the spectral truncation leaves an oscillatory
@@ -651,11 +636,11 @@ def decay_fit(result: SolveResult, lo_frac=1e-8, hi_frac=1e-2) -> dict:
 
     sel = np.zeros(n_bins, dtype=bool)
     sel[[b for b in seed + accepted]] = True
-    sel &= (env > lo_frac * sup) & (env < hi_frac * sup)
+    sel &= (env > 1e-8 * sup) & (env < 1e-2 * sup)
     if np.sum(sel) < 3:
         raise DomainError(
             "decay annulus is empty: the field does not decay below "
-            f"{hi_frac:.0e} of its sup before reaching the noise floor "
+            "1e-02 of its sup before reaching the noise floor "
             "(box too small or grid too coarse?)"
         )
     x = radii[sel]
@@ -721,11 +706,11 @@ def dist_to_wells(point, M_points) -> float:
     )
 
 
-def grid_for_eps(config: ModelConfig, eps: float, points_per_dim: int, margin: float = 8.0) -> Grid:
-    """Box large enough to hold Lambda/eps plus an exponential-decay margin."""
+def grid_for_eps(config: ModelConfig, eps: float, points_per_dim: int) -> Grid:
+    """Box large enough to hold Lambda/eps plus an exponential-decay margin of 8."""
     pot = config.potential
     center_reach = np.sqrt(sum(c * c for c in pot.lambda_center))
-    L = (center_reach + pot.lambda_radius) / eps + margin
+    L = (center_reach + pot.lambda_radius) / eps + 8.0
     return Grid(config.frac.n_dim, points_per_dim, L)
 
 

@@ -4,8 +4,9 @@ fractional operator (-Delta + m^2)^s.
 Everything here is scalar math: the modified Bessel function K_nu, the
 radial extension profile theta(r) = (2/Gamma(s)) (r/2)^s K_s(r), the
 Gamma-function constants (sigma_s, kappa_s, the sharp trace-Sobolev
-constant, and the singular-integral / Poisson-kernel normalizations),
-and Brent's root finder.  All functions are pure and re-entrant.
+constant, and the singular-integral normalization), Richardson
+extrapolation and Brent's root finder.  All functions are pure and
+re-entrant.
 
 The Gamma constants use math.gamma; scipy (K_nu and quadrature) is
 imported only inside the functions that need it, so the solver path
@@ -125,30 +126,41 @@ def sigma_s(s):
     return 2.0 ** (1.0 - 2.0 * s) * Gamma(1.0 - s) / Gamma(s)
 
 
-def kappa_s_limit(s, y0=1e-3, levels=6):
+def richardson(vals, ys, orders):
+    """v(0) from samples vals[j] = v(ys[j]) of v(y) = v(0) + sum c_p y^p.
+
+    One pass per order p in `orders` maps each neighbour pair (a, b) to
+    (r v_a - v_b) / (r - 1), r = (y_b / y_a)^p, which cancels c_p y^p on
+    a geometric ladder; `vals` may carry trailing axes (one field per y).
+    """
+    vals = np.asarray(vals, dtype=float)
+    for p in orders:
+        r = ((ys[1:] / ys[:-1]) ** p).reshape((-1,) + (1,) * (vals.ndim - 1))
+        vals = (r * vals[:-1] - vals[1:]) / (r - 1.0)
+        ys = ys[:-1]
+    return vals[0]
+
+
+def kappa_s_limit(s):
     """-lim_{y->0} y^(1-2s) theta'(y), by Richardson extrapolation.
 
     The small-argument expansion of theta gives
-    -y^(1-2s) theta'(y) = kappa_s + O(y^(2-2s)) + O(y^2), so we
-    extrapolate on a geometric ladder y0, y0/2, ..., eliminating the
-    y^(2-2s) error first and the y^2 error second.
+    -y^(1-2s) theta'(y) = kappa_s + O(y^(2-2s)) + O(y^2) + O(y^(4-2s)),
+    so we extrapolate on the geometric ladder 1e-3 / 2^j, j = 0..5,
+    eliminating those three orders in turn (`richardson`).
     """
-    ys = y0 / 2.0 ** np.arange(levels)
+    ys = 1e-3 / 2.0 ** np.arange(6)
     vals = -ys ** (1.0 - 2.0 * s) * theta_profile_deriv(s, ys)
-    for p in (2.0 - 2.0 * s, 2.0):
-        for _ in range(2):
-            if len(vals) < 2:
-                break
-            vals = (2.0**p * vals[1:] - vals[:-1]) / (2.0**p - 1.0)
-    return float(vals[0])
+    return float(richardson(vals, ys, (2.0 - 2.0 * s, 2.0, 4.0 - 2.0 * s)))
 
 
-def kappa_s(s, rtol=1e-9):
+def kappa_s(s):
     """kappa_s = integral_0^inf y^(1-2s) (theta'(y)^2 + theta(y)^2) dy.
 
-    Evaluated by adaptive quadrature (split at y = 1 to help the
-    endpoint singularity of the weight).  Raises QuadratureError with
-    the achieved error estimate if the quadrature does not converge.
+    Evaluated by adaptive quadrature to relative tolerance rtol = 1e-9
+    (split at y = 1 to help the endpoint singularity of the weight).
+    Raises QuadratureError with the achieved error estimate if the
+    quadrature does not converge.
     Numerically this equals sigma_s; the identity is asserted in the
     test suite rather than assumed here.
     """
@@ -161,6 +173,7 @@ def kappa_s(s, rtol=1e-9):
         dt = theta_profile_deriv(s, y)
         return y ** (1.0 - 2.0 * s) * (dt * dt + t * t)
 
+    rtol = 1e-9
     total = 0.0
     err = 0.0
     for a, b in ((0.0, 1.0), (1.0, np.inf)):
@@ -195,22 +208,10 @@ def sobolev_trace_constant(n_dim, s):
     )
 
 
-@dataclass(frozen=True)
-class KernelConstants:
-    """Normalization constants of the singular-integral and Poisson-kernel
-    representations."""
+def kernel_constants(params: FracParams) -> float:
+    """Normalization C(N,s) of the singular-integral representation,
 
-    C_Ns: float       # singular-integral normalization
-    p_Ns: float       # massless Poisson-kernel normalization
-    c_prime_Ns: float  # massive Poisson-kernel normalization
-
-
-def kernel_constants(params: FracParams) -> KernelConstants:
-    """Constants C(N,s), p_{N,s} and c'_{N,s} for the given parameters.
-
-    C(N,s)   = 2^(-(N+2s)/2 + 1) pi^(-N/2) 2^(2s) s(1-s) / Gamma(2-s)
-    p_{N,s}  = pi^(-N/2) Gamma((N+2s)/2) / Gamma(s)
-    c'_{N,s} = p_{N,s} 2^((N+2s)/2 - 1) / Gamma((N+2s)/2)
+    C(N,s) = 2^(-(N+2s)/2 + 1) pi^(-N/2) 2^(2s) s(1-s) / Gamma(2-s).
     """
     N, s = float(params.n_dim), params.s
     C_Ns = (
@@ -221,9 +222,7 @@ def kernel_constants(params: FracParams) -> KernelConstants:
         * (1.0 - s)
         / Gamma(2.0 - s)
     )
-    p_Ns = np.pi ** (-N / 2.0) * Gamma((N + 2.0 * s) / 2.0) / Gamma(s)
-    c_prime_Ns = p_Ns * 2.0 ** ((N + 2.0 * s) / 2.0 - 1.0) / Gamma((N + 2.0 * s) / 2.0)
-    return KernelConstants(C_Ns=float(C_Ns), p_Ns=float(p_Ns), c_prime_Ns=float(c_prime_Ns))
+    return float(C_Ns)
 
 
 def brentq(f, a, b, xtol=2e-12, rtol=8.881784197001252e-16, maxiter=100):

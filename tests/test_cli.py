@@ -209,6 +209,17 @@ class TestExitCodes:
         assert "Traceback" not in err
         assert err.count("\n") == 1
 
+    def test_unconverged_solve_is_a_numerical_failure(self, tmp_path, capsys):
+        # grad_tol = 1e-16 is out of reach: the descent ends unconverged
+        text = open(CFG_2D).read().replace(
+            "grid.points_per_dim = 128", "grid.points_per_dim = 64")
+        p = write_cfg(tmp_path, text + "solver.grad_tol = 1e-16\n")
+        out = tmp_path / "o"
+        assert main(["solve", "--config", p, "--out", str(out)]) == EXIT_NUMERICAL
+        assert "NOT CONVERGED" in capsys.readouterr().out
+        rows = read_rows(os.path.join(out, "diagnostics.csv"))
+        assert dict(zip(rows[0], rows[1]))["converged"] == "false"
+
     def test_sweep_needs_three_eps(self, tmp_path):
         code = main([
             "sweep", "--config", CFG_2D, "--out", str(tmp_path / "o"),

@@ -8,6 +8,7 @@ from frns.specfun import DomainError, FracParams, sigma_s, theta_profile
 from frns.operator import Field, Grid, apply_operator, build_symbol, norm_l2
 from frns.extension import (
     ExtensionStack,
+    ExtrapolationError,
     _spectral_gradient_sq,
     conormal_derivative,
     default_y_levels,
@@ -112,6 +113,27 @@ class TestConormalDerivative:
         )
         assert err < 1e-4
         assert "assumed_order" in diag and "estimated_order" in diag
+
+    @pytest.mark.parametrize("s,n_dim", [(0.25, 1), (0.5, 2)])
+    def test_eliminates_both_error_orders(self, s, n_dim):
+        # the ladder cancels y^(2-2s) and y^2, leaving round-off, on the
+        # grid and bump of `frns kernels`
+        grid = Grid(n_dim, 64, 10.0)
+        params = FracParams(s=s, m=1.0, n_dim=n_dim)
+        u = Field(grid=grid, values=np.exp(-grid.radii() ** 2))
+        dtn, _ = conormal_derivative(extend(u, params), params)
+        ref = sigma_s(s) * apply_operator(u, build_symbol(grid, params)).values
+        err = norm_l2(Field(grid=grid, values=dtn.values - ref)) / norm_l2(
+            Field(grid=grid, values=ref)
+        )
+        assert err < 1e-10
+
+    def test_needs_four_positive_levels(self):
+        grid = Grid(1, 64, 5.0)
+        params = FracParams(s=0.4, m=1.0, n_dim=1)
+        stack = extend(gaussian_field(grid), params, y_levels=np.array([0.0, 0.1, 0.2, 0.4]))
+        with pytest.raises(ExtrapolationError):
+            conormal_derivative(stack, params)
 
     def test_2d_case(self):
         grid = Grid(2, 64, 8.0)

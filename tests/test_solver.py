@@ -24,6 +24,7 @@ from frns.solver import (
     NoBracketError,
     NoPositivePartError,
     SolveResult,
+    Tolerances,
     autonomous_ground_state,
     concentration_sweep,
     decay_fit,
@@ -170,6 +171,15 @@ class TestGroundState:
         res2 = ground_state(cfg, grid)
         assert res2.energy == res.energy
         assert np.array_equal(res2.field.values, res.field.values)
+
+    def test_first_failed_line_search_ends_the_descent(self):
+        # no descent reaches grad = 1e-16; the 25th line search rejects
+        # all 40 trial steps, and with u, the gradient and the direction
+        # unchanged another search could only retry smaller steps
+        res = ground_state(default_config(), Grid(2, 64, 18.0),
+                           tolerances=Tolerances(grad=1e-16))
+        assert not res.converged
+        assert res.iterations == 25
 
     def test_best_descent_packages_only_the_winner(self, monkeypatch):
         import frns.solver as solver

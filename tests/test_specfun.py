@@ -13,7 +13,6 @@ from scipy.special import gamma
 from frns.specfun import (
     DomainError,
     FracParams,
-    KernelConstants,
     bessel_k,
     kappa_s,
     kappa_s_limit,
@@ -105,9 +104,10 @@ class TestKappaSigma:
             assert kappa_s(s) == pytest.approx(sigma_s(s), rel=1e-9)
 
     def test_limit_equals_sigma(self):
-        # -lim y^{1-2s} theta'(y) = sigma_s, Richardson-extrapolated
-        for s in S_VALUES:
-            assert kappa_s_limit(s) == pytest.approx(sigma_s(s), rel=1e-6)
+        # -lim y^{1-2s} theta'(y) = sigma_s, Richardson-extrapolated over
+        # the orders 2-2s, 2 and 4-2s: round-off is all that is left
+        for s in np.linspace(0.1, 0.9, 9):
+            assert abs(kappa_s_limit(s) - sigma_s(s)) < 1e-12
 
     def test_sigma_closed_form(self):
         # sigma_s = 2^{1-2s} Gamma(1-s)/Gamma(s); s = 1/2 gives exactly 1
@@ -162,19 +162,12 @@ class TestFracParams:
 class TestKernelConstants:
     def test_values(self):
         p = FracParams(s=0.4, m=2.0, n_dim=2)
-        kc = kernel_constants(p)
-        assert isinstance(kc, KernelConstants)
         N, s = 2.0, 0.4
         nu = (N + 2.0 * s) / 2.0
         C = (2.0 ** (-nu + 1.0) * np.pi ** (-N / 2.0) * 2.0 ** (2.0 * s)
              * s * (1.0 - s) / gamma(2.0 - s))
-        pNs = np.pi ** (-N / 2.0) * gamma(nu) / gamma(s)
-        assert kc.C_Ns == pytest.approx(C, rel=1e-13)
-        assert kc.p_Ns == pytest.approx(pNs, rel=1e-13)
-        assert kc.c_prime_Ns == pytest.approx(pNs * 2.0 ** (nu - 1.0) / gamma(nu),
-                                              rel=1e-13)
+        assert kernel_constants(p) == pytest.approx(C, rel=1e-13)
 
     def test_all_positive(self):
         for (n, s) in [(1, 0.25), (2, 0.5), (3, 0.75)]:
-            kc = kernel_constants(FracParams(s=s, m=1.0, n_dim=n))
-            assert kc.C_Ns > 0 and kc.p_Ns > 0 and kc.c_prime_Ns > 0
+            assert kernel_constants(FracParams(s=s, m=1.0, n_dim=n)) > 0
