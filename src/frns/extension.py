@@ -56,11 +56,14 @@ def extend(u: Field, params: FracParams, y_levels=None) -> ExtensionStack:
         y_levels = default_y_levels(params.m)
     y_levels = np.asarray(y_levels, dtype=float)
 
-    w = np.sqrt(g.half_k_squared() + params.m**2)
+    # one theta call for every level, on the distinct values of w
+    w_all = np.sqrt(g.half_k_squared() + params.m**2)
+    w, index = np.unique(w_all, return_inverse=True)
+    damping = theta_profile(params.s, y_levels[1:, None] * w)[:, index.reshape(w_all.shape)]
     slabs = np.empty((len(y_levels),) + g.shape)
     slabs[0] = u.values
-    for j, y in enumerate(y_levels[1:], start=1):
-        slabs[j] = spectral_multiply(theta_profile(params.s, y * w), u.values)
+    for j, theta_y in enumerate(damping, start=1):
+        slabs[j] = spectral_multiply(theta_y, u.values)
     return ExtensionStack(grid=g, params=params, y_levels=y_levels, slabs=slabs)
 
 

@@ -12,6 +12,7 @@ problem with constant potential shift mu; they differ only in the
 potential term and in whether the nonlinearity is truncated.
 """
 
+import math
 from dataclasses import dataclass, replace
 from itertools import permutations, product
 from typing import Callable, Optional, Sequence
@@ -180,22 +181,21 @@ class NehariProblem:
         """
         m = NehariMoments(self, u_vals)
         lo = hi = 1.0
-        f_hi = m.mismatch(1.0)
+        f_lo = f_hi = m.mismatch(1.0)
+        # The mismatch falls from ||u||^2 at t -> 0 to -inf at t -> inf (the
+        # inside part has a positive u^(2*) sum), so each scan ends; it ends
+        # without a bracket only where t or the mismatch is no finite number.
         if f_hi > 0.0:
             while f_hi > 0.0:
-                lo = hi
-                hi *= 2.0
-                if hi > 1e6:
-                    raise NoBracketError("no Nehari bracket found scanning up to t = 1e6")
+                lo, hi = hi, 2.0 * hi
                 f_hi = m.mismatch(hi)
         else:
-            f_lo = f_hi
-            while f_lo <= 0.0:
-                hi = lo
-                lo *= 0.5
-                if lo < 1e-12:
-                    raise NoBracketError("no Nehari bracket found scanning down to t = 1e-12")
+            while f_lo <= 0.0 and lo > 0.0:
+                hi, lo = lo, 0.5 * lo
                 f_lo = m.mismatch(lo)
+        if not (lo > 0.0 and math.isfinite(hi) and math.isfinite(f_lo) and math.isfinite(f_hi)):
+            raise NoBracketError(f"no Nehari bracket: mismatch {f_lo} at t = {lo}, "
+                                 f"{f_hi} at t = {hi}")
         t = brentq(m.mismatch, lo, hi, xtol=1e-300, rtol=8.9e-16, maxiter=200)
         return float(t), m.energy(t)
 

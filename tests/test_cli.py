@@ -11,6 +11,7 @@ import pytest
 
 import frns.cli as cli
 import frns.solver as solver
+from frns.operator import Grid
 from frns.cli import (
     EXIT_INVALID,
     EXIT_NUMERICAL,
@@ -61,13 +62,13 @@ def run_scipy_probe(*argv):
 
 
 class TestScipyStaysUnloaded:
-    # importing scipy.fft, .special or .optimize costs about 0.6 s; only
-    # `kernels` (Bessel K and quadrature) imports scipy, inside specfun
+    # importing scipy.special and .integrate costs about 0.6 s, and no
+    # command needs scipy: K_nu and the kappa_s rule are in specfun
 
     def test_import_loads_no_scipy(self):
         assert run_scipy_probe() == (EXIT_PASS, [])
 
-    @pytest.mark.parametrize("command", ["validate", "sstar", "solve"])
+    @pytest.mark.parametrize("command", ["validate", "sstar", "solve", "kernels"])
     def test_command_loads_no_scipy(self, command, tmp_path):
         argv = [command, "--config", CFG_1D]
         if command == "solve":
@@ -77,12 +78,6 @@ class TestScipyStaysUnloaded:
         if command != "validate":
             argv += ["--out", str(tmp_path / "out")]
         assert run_scipy_probe(*argv) == (EXIT_PASS, [])
-
-    def test_kernels_passes_with_scipy(self, tmp_path):
-        rc, loaded = run_scipy_probe(
-            "kernels", "--config", CFG_1D, "--out", str(tmp_path / "out"))
-        assert rc == EXIT_PASS
-        assert {"scipy.special", "scipy.integrate"} <= set(loaded)
 
 
 class TestConfigParsing:
@@ -263,6 +258,20 @@ class TestWriteCsv:
         path = tmp_path / "t.csv"
         cli.write_csv(path, ("x", "u"), iter(()), "abc")
         assert path.read_bytes() == b"# config-hash: abc\r\nx,u\r\n"
+
+    @pytest.mark.parametrize("n_dim", [1, 2])
+    def test_field_csv_matches_row_writer(self, tmp_path, n_dim):
+        # solution.csv's writer gives the bytes of write_csv on the rows
+        # (coordinates..., u) of every grid point in row-major order
+        grid = Grid(n_dim, 32, 3.7)
+        rng = np.random.default_rng(n_dim)
+        u = rng.standard_normal(grid.shape) * 10.0 ** rng.integers(-300, 300, grid.shape)
+        u.flat[:4] = (0.0, -0.0, 5e-324, 0.1)
+        rows = zip(*(c.ravel() for c in grid.coords()), u.ravel())
+        header = ("x", "y")[:n_dim] + ("u",)
+        cli.write_csv(tmp_path / "rows.csv", header, rows, "abc")
+        cli.write_field_csv(tmp_path / "field.csv", grid, u, "abc")
+        assert (tmp_path / "field.csv").read_bytes() == (tmp_path / "rows.csv").read_bytes()
 
 
 class TestKernels:

@@ -46,6 +46,17 @@ def numpy_fft_lines(path) -> list:
     return lines
 
 
+def scipy_import_lines(path) -> list:
+    """Lines where a module imports scipy or one of its submodules."""
+    with open(path, encoding="utf-8") as f:
+        tree = ast.parse(f.read())
+    return [node.lineno for node in ast.walk(tree)
+            if (isinstance(node, ast.Import)
+                and any(a.name.split(".")[0] == "scipy" for a in node.names))
+            or (isinstance(node, ast.ImportFrom)
+                and (node.module or "").split(".")[0] == "scipy")]
+
+
 class TestOneFourierLayer:
     # how a real field is stored in Fourier space (the half spectrum of
     # rfftn) is decided in operator.py alone: every spectral multiplier
@@ -55,6 +66,12 @@ class TestOneFourierLayer:
         users = {name: numpy_fft_lines(os.path.join(SRC, name))
                  for name in sorted(os.listdir(SRC)) if name.endswith(".py")}
         assert {name for name, lines in users.items() if lines} == {"operator.py"}, users
+
+    def test_no_module_imports_scipy(self):
+        # the program runs on numpy alone; scipy is only the tests' oracle
+        users = {name: scipy_import_lines(os.path.join(SRC, name))
+                 for name in sorted(os.listdir(SRC)) if name.endswith(".py")}
+        assert not any(users.values()), users
 
 
 def make(n_dim=2, n=64, L=10.0, s=0.5, m=1.0):

@@ -351,6 +351,20 @@ def test_scale_covariance(kind, u, c):
     assert problem.nehari_scale(c * u)[0] == pytest.approx(t / c, rel=1e-12)
 
 
+@pytest.mark.parametrize("width,amp_out,c,t_min", [
+    (0.875, 10.0, 1.0 / 64.0, 2.0**19), (0.8125, 14.0, 0.01171875, 1e6)])
+def test_nehari_scan_has_no_fixed_bound(width, amp_out, c, t_min):
+    # hypothesis counterexamples to test_scale_covariance: a weak bump
+    # inside Lambda puts t(c u) past 2^19 and past 1e6, where the scan
+    # once stopped (at its last doubling below 1e6, or at 1e6)
+    u = (gaussian_bump(GRID_32, (0.0, 0.0), width=width, amplitude=0.05078125)
+         + gaussian_bump(GRID_32, (13.0, 0.0), amplitude=amp_out))
+    problem = PROBLEMS_32["penalized"]
+    t = problem.nehari_scale(u)[0]
+    assert t / c > t_min
+    assert problem.nehari_scale(c * u)[0] == pytest.approx(t / c, rel=1e-12)
+
+
 @pytest.mark.parametrize("kind", sorted(PROBLEMS_32))
 @settings(max_examples=30, deadline=None)
 @given(u=FIELDS_32)

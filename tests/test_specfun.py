@@ -8,7 +8,7 @@ theta profile, and direct quadrature of the extension energy integrand.
 import numpy as np
 import pytest
 from scipy.integrate import quad
-from scipy.special import gamma
+from scipy.special import gamma, kve
 
 from frns.specfun import (
     DomainError,
@@ -40,6 +40,25 @@ class TestBesselK:
             for x in [0.1, 0.7, 1.0, 3.0, 8.0]:
                 ref = bessel_k_oracle(nu, x)
                 assert bessel_k(nu, x) == pytest.approx(ref, rel=1e-10)
+
+    @pytest.mark.parametrize("nu", [0.0, 1e-9, 0.25, 0.5, 1.0 - 1e-9, 1.0, 1.5, 2.5, 10.0])
+    def test_matches_scipy(self, nu):
+        # kv flushes to 0 above x = 697.9, so the oracle is the scaled kve
+        # times e^(-x), whose own conditioning is about 1e-13 at x = 700
+        x = np.geomspace(1e-6, 700.0, 400)
+        ref = kve(nu, x) * np.exp(-x)
+        assert np.max(np.abs(bessel_k(nu, x) / ref - 1.0)) <= 1e-12
+        assert np.max(np.abs(bessel_k(-nu, x) / ref - 1.0)) <= 1e-12
+
+    def test_past_underflow_and_overflow(self):
+        # 0 where K_nu underflows, inf where it overflows, never nan
+        big = np.array([760.0, 1e6, np.inf])
+        assert np.array_equal(bessel_k(0.25, big), np.zeros(3))
+        tiny = np.array([1e-300, 1e-310, 5e-324])
+        assert np.all(np.isfinite(bessel_k(0.5, tiny)))
+        assert np.all(np.isinf(bessel_k(10.0, tiny)))
+        # K_{1/2}(x) = sqrt(pi/(2x)) e^{-x} stays finite at subnormal x
+        assert bessel_k(0.5, 1e-310) == pytest.approx(np.sqrt(np.pi / 2) / np.sqrt(1e-310), rel=1e-13)
 
     def test_half_integer_closed_form(self):
         # K_{1/2}(x) = sqrt(pi/(2x)) e^{-x}
@@ -89,6 +108,13 @@ class TestThetaProfile:
             lead = sigma_s(s) / (2.0 * s) * t ** (2.0 * s)
             assert 1.0 - theta_profile(s, t) == pytest.approx(lead, rel=5e-3)
 
+    @pytest.mark.parametrize("s", [0.25, 0.75])
+    def test_tiny_radii_stay_in_unit_interval(self, s):
+        # theta(r) -> 1 as r -> 0, also at subnormal r, and never exceeds 1
+        th = theta_profile(s, np.array([1e-300, 1e-310, 5e-324]))
+        assert np.all((th >= 0.0) & (th <= 1.0))
+        assert np.allclose(th, 1.0, rtol=0.0, atol=1e-12)
+
     def test_monotone_decay(self):
         y = np.linspace(0.0, 30.0, 500)
         for s in S_VALUES:
@@ -100,7 +126,7 @@ class TestThetaProfile:
 class TestKappaSigma:
     def test_quadrature_equals_sigma(self):
         # kappa_s = int y^{1-2s} (theta'^2 + theta^2) dy = sigma_s
-        for s in S_VALUES:
+        for s in np.linspace(0.1, 0.9, 9):
             assert kappa_s(s) == pytest.approx(sigma_s(s), rel=1e-9)
 
     def test_limit_equals_sigma(self):
