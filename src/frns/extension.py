@@ -6,14 +6,15 @@ damped by theta(y sqrt(|k|^2 + m^2)), where theta is the Bessel profile
 from specfun.  We therefore never mesh the (N+1)-dimensional problem;
 a stack of horizontal slabs at chosen heights carries everything needed
 for the Dirichlet-to-Neumann limit and the weighted energy.  Slabs and
-x-derivatives are half-spectrum multipliers (`operator.spectral_multiply`).
+x-derivatives are half-spectrum multipliers on one transform of each
+field (`operator.half_spectrum`, `operator.from_half_spectrum`).
 """
 
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .operator import Field, Grid, GridMismatchError, spectral_multiply
+from .operator import Field, Grid, GridMismatchError, from_half_spectrum, half_spectrum
 from .specfun import DomainError, FracParams, richardson, theta_profile
 
 
@@ -47,7 +48,8 @@ def extend(u: Field, params: FracParams, y_levels=None) -> ExtensionStack:
     """Extend a trace field into the half-space, slab by slab.
 
     Each slab is the inverse transform of u_hat(k) * theta(y w(k)),
-    w(k) = sqrt(|k|^2 + m^2); the y = 0 slab is the input bit-exactly.
+    w(k) = sqrt(|k|^2 + m^2), with u_hat taken once for all levels; the
+    y = 0 slab is the input bit-exactly.
     """
     g = u.grid
     if params.n_dim != g.n_dim:
@@ -62,8 +64,9 @@ def extend(u: Field, params: FracParams, y_levels=None) -> ExtensionStack:
     damping = theta_profile(params.s, y_levels[1:, None] * w)[:, index.reshape(w_all.shape)]
     slabs = np.empty((len(y_levels),) + g.shape)
     slabs[0] = u.values
+    uhat = half_spectrum(u.values)
     for j, theta_y in enumerate(damping, start=1):
-        slabs[j] = spectral_multiply(theta_y, u.values)
+        slabs[j] = from_half_spectrum(theta_y, uhat, g.shape)
     return ExtensionStack(grid=g, params=params, y_levels=y_levels, slabs=slabs)
 
 
@@ -111,10 +114,11 @@ def _spectral_gradient_sq(u_vals: np.ndarray, grid: Grid) -> np.ndarray:
     """|grad_x u|^2 by spectral differentiation; i k_j is zeroed at the
     Nyquist mode of axis j, its own mirror, where it has no real part."""
     acc = np.zeros(grid.shape)
+    uhat = half_spectrum(u_vals)
     for k in grid.half_wavenumbers():
         k = k.copy()
         k.flat[grid.points_per_dim // 2] = 0.0
-        acc += spectral_multiply(1j * k, u_vals) ** 2
+        acc += from_half_spectrum(1j * k, uhat, grid.shape) ** 2
     return acc
 
 

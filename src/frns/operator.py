@@ -5,7 +5,8 @@ periodically and the operator acts mode by mode through the symbol
 (|k|^2 + m^2)^s.  This is the program's one Fourier layer: fields are
 real, so every spectral multiplier (`spectral_multiply`) and quadratic
 form (`spectral_sum`) runs on real FFTs with its weight on the half
-spectrum, whose last axis keeps the modes 0..n/2.  A direct principal-value
+spectrum, whose last axis keeps the modes 0..n/2; a spectrum taken once
+(`half_spectrum`) serves any number of multipliers.  A direct principal-value
 quadrature of the singular-integral form is kept (1D only) as an
 independent cross-check of the spectral path, and the resolvent /
 Bessel-kernel pair gives the Green-function view.
@@ -138,11 +139,11 @@ class KernelTable:
     params: FracParams
     symbol: np.ndarray = field(repr=False)
 
-    def form(self, values) -> float:
-        """<Av, v> = h^N/n^N sum_k symbol |v_hat|^2 of raw samples on `grid`,
-        computed in k-space (`spectral_sum`)."""
+    def form(self, vhat) -> float:
+        """<Av, v> = h^N/n^N sum_k symbol |v_hat|^2 from the half spectrum
+        vhat = `half_spectrum`(v) of raw samples on `grid` (`spectral_sum`)."""
         g = self.grid
-        return float(g.spacing**g.n_dim / g.total_points * spectral_sum(self.symbol, values))
+        return float(g.spacing**g.n_dim / g.total_points * spectral_sum(self.symbol, vhat))
 
 
 def build_symbol(grid: Grid, params: FracParams) -> KernelTable:
@@ -163,25 +164,37 @@ def apply_operator(u: Field, table: KernelTable) -> Field:
     return Field(grid=u.grid, values=spectral_multiply(table.symbol, u.values))
 
 
-def spectral_multiply(weight, values):
-    """irfftn(weight * rfftn(values)), `weight` given on the half spectrum.
+def half_spectrum(values):
+    """rfftn(values): the half spectrum of real samples, to take once
+    and weight many times (`from_half_spectrum`, `spectral_sum`)."""
+    return rfftn(values)
+
+
+def from_half_spectrum(weight, vhat, shape):
+    """irfftn(weight * vhat) onto the real grid `shape`, `weight` given on
+    the half spectrum.
 
     irfftn reads a Hermitian spectrum, so weight(-k) = conj(weight(k)) must
     hold, where each axis's Nyquist mode is its own mirror: real even
     weights qualify, a derivative i k_j only once zeroed at that mode.
     """
-    return irfftn(weight * rfftn(values), s=values.shape, axes=range(values.ndim))
+    return irfftn(weight * vhat, s=shape, axes=range(len(shape)))
 
 
-def spectral_sum(weight, values):
-    """sum_k weight(k) |values_hat(k)|^2 over the full spectrum, by one rfftn.
+def spectral_multiply(weight, values):
+    """irfftn(weight * rfftn(values)) (`from_half_spectrum`)."""
+    return from_half_spectrum(weight, rfftn(values), values.shape)
+
+
+def spectral_sum(weight, vhat):
+    """sum_k weight(k) |v_hat(k)|^2 over the full spectrum, from the half
+    spectrum vhat = `half_spectrum`(v).
 
     `weight` is even in k and given on the half spectrum; the sum runs
     over it with the modes 1..n/2 - 1 of the last axis standing for
     themselves and their conjugates (weight 2), the modes 0 and n/2
     only for themselves (weight 1).
     """
-    vhat = rfftn(values)
     spec = weight * (vhat.real**2 + vhat.imag**2)
     return 2.0 * np.sum(spec) - np.sum(spec[..., 0]) - np.sum(spec[..., -1])
 
@@ -189,7 +202,7 @@ def spectral_sum(weight, values):
 def operator_quadratic_form(u: Field, table: KernelTable) -> float:
     """<Au, u>, the discrete H^s norm squared (`KernelTable.form`)."""
     u.check_same_grid(table.grid)
-    return table.form(u.values)
+    return table.form(rfftn(u.values))
 
 
 def solve_resolvent(mu: Field, table: KernelTable) -> Field:

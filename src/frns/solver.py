@@ -2,10 +2,11 @@
 
 The mountain-pass level equals the infimum of the energy over the
 Nehari set {u != 0 : <J'(u), u> = 0}, which turns the saddle-point
-search into a constrained minimization: descend along the projected
-gradient, clip to the positive cone, and rescale back onto the Nehari
-manifold after every step.  The result is an upper estimate of the
-level (a gradient-flow path proves no global minimality).
+search into a constrained minimization: descend along a preconditioned
+conjugate-gradient direction built from the projected gradient, clip
+to the positive cone, and rescale back onto the Nehari manifold after
+every step.  The result is an upper estimate of the level (a descent
+path proves no global minimality).
 
 The same loop drives both the penalized problem and the autonomous
 problem with constant potential shift mu; they differ only in the
@@ -19,7 +20,8 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .operator import Field, Grid, KernelTable, build_symbol, spectral_multiply, spectral_sum
+from .operator import (Field, Grid, KernelTable, build_symbol, from_half_spectrum, half_spectrum,
+                       spectral_multiply, spectral_sum)
 from .model import (
     AssumptionError,
     ModelConfig,
@@ -37,13 +39,16 @@ class NoPositivePartError(ValueError):
 
 
 class NoBracketError(RuntimeError):
-    """Nehari scaling found no sign change while scanning up to t = 1e6."""
+    """Nehari scaling found no sign change before t or the mismatch left
+    the finite numbers."""
 
 
 @dataclass(frozen=True)
 class Tolerances:
-    """Stopping rule of `_descend`, which also stops, unconverged, at the
-    first line search that rejects all 40 trial steps."""
+    """Stopping rule of `_descend`, which also stops, unconverged, when a
+    line search along the steepest (preconditioned, beta = 0) direction
+    rejects all 40 trial steps; a failed CG search is retried once along
+    that direction first."""
 
     grad: float = 1e-6          # relative max-norm of the projected (KKT) gradient
     max_iterations: int = 20000
@@ -157,9 +162,12 @@ class NehariProblem:
     def cell_volume(self) -> float:
         return self.grid.spacing**self.grid.n_dim
 
-    def quadratic(self, u_vals) -> float:
-        """||u||^2 = <Au, u> + sum V u^2 h^N (one forward FFT)."""
-        return self.table.form(u_vals) + self.cell_volume * float(np.sum(self.V * u_vals**2))
+    def quadratic(self, u_vals, vhat=None) -> float:
+        """||u||^2 = <Au, u> + sum V u^2 h^N; one forward FFT unless the
+        half spectrum vhat of u is passed."""
+        if vhat is None:
+            vhat = half_spectrum(u_vals)
+        return self.table.form(vhat) + self.cell_volume * float(np.sum(self.V * u_vals**2))
 
     def energy(self, u_vals, quad=None, t=1.0) -> float:
         """J(t u); pass quad = ||u||^2 when known to skip its FFT."""
@@ -167,37 +175,18 @@ class NehariProblem:
             quad = self.quadratic(u_vals)
         return 0.5 * t * t * quad - self.cell_volume * float(np.sum(self.G(t * u_vals)))
 
-    def gradient(self, u_vals) -> np.ndarray:
-        """L^2 gradient J'(u) = A u + V u - g(x, u)."""
-        Au = spectral_multiply(self.table.symbol, u_vals)
+    def gradient(self, u_vals, vhat=None) -> np.ndarray:
+        """L^2 gradient J'(u) = A u + V u - g(x, u); pass the half
+        spectrum vhat of u when known to skip its forward FFT."""
+        if vhat is None:
+            vhat = half_spectrum(u_vals)
+        Au = from_half_spectrum(self.table.symbol, vhat, u_vals.shape)
         return Au + self.V * u_vals - self.g(u_vals)
 
     def nehari_scale(self, u_vals) -> tuple:
-        """(t, J(t u)) for the unique t > 0 with <J'(t u), t u> = 0.
-
-        The power sums of u are taken once (`NehariMoments`); each
-        evaluation of the mismatch in the root solve, and J(t u) at the
-        root, then costs O(log n) instead of passes over the grid.
-        """
-        m = NehariMoments(self, u_vals)
-        lo = hi = 1.0
-        f_lo = f_hi = m.mismatch(1.0)
-        # The mismatch falls from ||u||^2 at t -> 0 to -inf at t -> inf (the
-        # inside part has a positive u^(2*) sum), so each scan ends; it ends
-        # without a bracket only where t or the mismatch is no finite number.
-        if f_hi > 0.0:
-            while f_hi > 0.0:
-                lo, hi = hi, 2.0 * hi
-                f_hi = m.mismatch(hi)
-        else:
-            while f_lo <= 0.0 and lo > 0.0:
-                hi, lo = lo, 0.5 * lo
-                f_lo = m.mismatch(lo)
-        if not (lo > 0.0 and math.isfinite(hi) and math.isfinite(f_lo) and math.isfinite(f_hi)):
-            raise NoBracketError(f"no Nehari bracket: mismatch {f_lo} at t = {lo}, "
-                                 f"{f_hi} at t = {hi}")
-        t = brentq(m.mismatch, lo, hi, xtol=1e-300, rtol=8.9e-16, maxiter=200)
-        return float(t), m.energy(t)
+        """(t, J(t u)) for the unique t > 0 with <J'(t u), t u> = 0
+        (`NehariMoments.scale`)."""
+        return NehariMoments(self, u_vals).scale()
 
     def nehari_residual(self, u_vals) -> float:
         """|<J'(u), u>| / ||u||^2."""
@@ -216,7 +205,8 @@ class NehariMoments:
     sorting, with prefix sums, once some t makes the truncated branch
     act (t * max(u outside) >= a); the linear set is then a tail of the
     sorted values, found by one searchsorted at a/t.  Values u <= 0
-    contribute nothing, as g and G vanish there.
+    contribute nothing, as g and G vanish there.  The half spectrum of
+    u behind ||u||^2 is kept (`vhat`): scaled by t it is that of t u.
     """
 
     def __init__(self, problem: NehariProblem, u_vals):
@@ -229,7 +219,8 @@ class NehariMoments:
                 "field has no positive part inside the well region; no Nehari scale"
             )
         self.problem = problem
-        self.quad = problem.quadratic(u_vals)
+        self.vhat = half_spectrum(u_vals)
+        self.quad = problem.quadratic(u_vals, self.vhat)
         p, two_star = problem.p, problem.two_star
         self.outside = u_vals[np.logical_and(pos, np.logical_not(problem.in_lambda))]
         self.sum_p_in = float(np.sum(inside**p))
@@ -238,6 +229,31 @@ class NehariMoments:
         self.sum_s = self.sum_s_in + float(np.sum(self.outside**two_star))
         self.max_out = float(np.max(self.outside, initial=0.0))
         self._sorted = None
+
+    def scale(self) -> tuple:
+        """(t, J(t u)) for the unique t > 0 with <J'(t u), t u> = 0.
+
+        Each evaluation of the mismatch in the root solve, and J(t u) at
+        the root, costs O(log n) instead of passes over the grid.
+        """
+        lo = hi = 1.0
+        f_lo = f_hi = self.mismatch(1.0)
+        # The mismatch falls from ||u||^2 at t -> 0 to -inf at t -> inf (the
+        # inside part has a positive u^(2*) sum), so each scan ends; it ends
+        # without a bracket only where t or the mismatch is no finite number.
+        if f_hi > 0.0:
+            while f_hi > 0.0:
+                lo, hi = hi, 2.0 * hi
+                f_hi = self.mismatch(hi)
+        else:
+            while f_lo <= 0.0 and lo > 0.0:
+                hi, lo = lo, 0.5 * lo
+                f_lo = self.mismatch(lo)
+        if not (lo > 0.0 and math.isfinite(hi) and math.isfinite(f_lo) and math.isfinite(f_hi)):
+            raise NoBracketError(f"no Nehari bracket: mismatch {f_lo} at t = {lo}, "
+                                 f"{f_hi} at t = {hi}")
+        t = brentq(self.mismatch, lo, hi, xtol=1e-300, rtol=8.9e-16, maxiter=200)
+        return float(t), self.energy(t)
 
     def _split(self, t) -> tuple:
         """(sum u^p, sum u^(2*)) over the full-nonlinearity points, and
@@ -303,32 +319,76 @@ def _projected_gradient(u_vals, grad) -> tuple:
     return np.where(active, np.minimum(grad, 0.0), grad), active
 
 
-def _descent_direction(grad, pg, active, precond) -> np.ndarray:
-    """The two-metric step (Bertsekas 1982) on the active set of
-    `_projected_gradient`: off it the preconditioned pg; on it, where
-    grad > 0, the raw gradient, since the smoothing preconditioner could
-    point into the constraint there and lift clipped points."""
-    return np.where(active & (grad > 0.0), grad, spectral_multiply(precond, pg))
+def _descent_direction(grad, pg, active, precond, prev=None) -> tuple:
+    """Preconditioned Polak-Ribiere+ direction (d, P pg, beta) on the
+    active set of `_projected_gradient`, with P the multiplier `precond`:
+
+        d = P pg + beta d_prev,
+        beta = max(0, <pg - pg_prev, P pg> / <pg_prev, P pg_prev>),
+
+    where prev = (pg_prev, P pg_prev, d_prev) is the last iteration's,
+    or None to restart with beta = 0.  On active points where grad > 0,
+    d is the raw gradient (the two-metric step, Bertsekas 1982), since
+    the smoothing preconditioner could point into the constraint there
+    and lift clipped points; d_prev is dropped there.  A d with
+    <d, pg> <= 0 does not descend and falls back to beta = 0.
+    """
+    ppg = spectral_multiply(precond, pg)
+    raw = active & (grad > 0.0)
+    if prev is not None:
+        pg_prev, ppg_prev, d_prev = prev
+        beta = float(np.vdot(pg - pg_prev, ppg)) / float(np.vdot(pg_prev, ppg_prev))
+        if beta > 0.0:
+            d = np.where(raw, grad, ppg + beta * d_prev)
+            if float(np.vdot(d, pg)) > 0.0:
+                return d, ppg, beta
+    return np.where(raw, grad, ppg), ppg, 0.0
+
+
+def _line_search(problem: NehariProblem, u, direction, E, step) -> Optional[tuple]:
+    """The first of 40 trial steps, from `step` on, each half the last,
+    whose Nehari-scaled candidate lowers the energy J = E: (step, t cand,
+    its half spectrum, J(t cand)), or None when all 40 fail."""
+    for _ in range(40):
+        cand = np.maximum(u - step * direction, 0.0)
+        try:
+            m = NehariMoments(problem, cand)
+            t, E_new = m.scale()
+        except (NoPositivePartError, NoBracketError):
+            step *= 0.5
+            continue
+        if E_new < E - 1e-16 * abs(E):
+            return step, t * cand, t * m.vhat, E_new
+        step *= 0.5
+    return None
 
 
 def _descend(problem: NehariProblem, init_vals: np.ndarray, tol: Tolerances):
-    """Nehari-constrained two-metric projected gradient descent.
+    """Nehari-constrained projected Polak-Ribiere+ CG descent.
 
     The KKT residual of the cone (`_projected_gradient`) is the
-    convergence test and, preconditioned by the inverse symbol, the step
-    off its active set; unpreconditioned descent oscillates in the stiff
-    high-frequency modes and plateaus far from tolerance.  The step's
-    raw-gradient override uses the same active set (`_descent_direction`).
+    convergence test and, preconditioned by the inverse symbol, the
+    steepest step off its active set; unpreconditioned descent
+    oscillates in the stiff high-frequency modes and plateaus far from
+    tolerance.  The CG direction (`_descent_direction`) adds the last
+    direction to it, which speeds up the slow translation of the
+    concentrated solution along its own slope.  Each line search
+    (`_line_search`) starts at 1.5 times the last accepted step.
 
-    The first line search that rejects all 40 trial steps ends the
-    descent unconverged: u, the gradient and the direction are then
-    unchanged, so another search would retry the same direction.
+    A CG line search that rejects all 40 trial steps is retried once
+    along the steepest direction (beta = 0); the first steepest search
+    that rejects all 40 ends the descent unconverged, since u, the
+    gradient and the direction are then unchanged.  The gradient of an
+    accepted candidate t cand takes its A u from the half spectrum of
+    cand that the Nehari scaling transformed, scaled by t.
 
-    Returns (values, energy, iterations, converged).
+    Returns (values, energy, iterations, converged, gradient at values).
     """
     u = np.maximum(init_vals, 0.0)
-    t0, E = problem.nehari_scale(u)
+    m = NehariMoments(problem, u)
+    t0, E = m.scale()
     u = t0 * u
+    grad = problem.gradient(u, t0 * m.vhat)
 
     # (symbol + shift) on the half spectrum is the preconditioner; shift
     # keeps it safely positive when V dips negative (V > -m^(2s) by the
@@ -337,39 +397,33 @@ def _descend(problem: NehariProblem, init_vals: np.ndarray, tol: Tolerances):
     precond = 1.0 / (problem.table.symbol + shift)
 
     step = 1.0
+    prev = None
     it = 0
     converged = False
     for it in range(1, tol.max_iterations + 1):
-        grad = problem.gradient(u)
         pg, active = _projected_gradient(u, grad)
         if np.max(np.abs(pg)) / max(np.max(np.abs(u)), 1e-300) <= tol.grad:
             converged = True
             break
-        direction = _descent_direction(grad, pg, active, precond)
-        step = min(step * 1.5, 2.0)
-        for _ in range(40):
-            cand = np.maximum(u - step * direction, 0.0)
-            try:
-                t, E_new = problem.nehari_scale(cand)
-            except (NoPositivePartError, NoBracketError):
-                step *= 0.5
-                continue
-            if E_new < E - 1e-16 * abs(E):
-                u = t * cand
-                E = E_new
-                break
-            step *= 0.5
-        else:
+        direction, ppg, beta = _descent_direction(grad, pg, active, precond, prev)
+        found = _line_search(problem, u, direction, E, 1.5 * step)
+        if found is None and beta > 0.0:
+            direction, ppg, beta = _descent_direction(grad, pg, active, precond)
+            found = _line_search(problem, u, direction, E, 1.5 * step)
+        if found is None:
             break
-    return u, E, it, converged
+        step, u, vhat, E = found
+        prev = (pg, ppg, direction)
+        grad = problem.gradient(u, vhat)
+    return u, E, it, converged, grad
 
 
-def _package_result(problem: NehariProblem, u_vals, E, iterations, converged) -> SolveResult:
+def _package_result(problem: NehariProblem, u_vals, E, iterations, converged, grad) -> SolveResult:
     g = problem.grid
     idx = np.unravel_index(int(np.argmax(u_vals)), g.shape)
     axis = g.axis()
     point = tuple(float(axis[i]) for i in idx)
-    pg, _ = _projected_gradient(u_vals, problem.gradient(u_vals))
+    pg, _ = _projected_gradient(u_vals, grad)
     return SolveResult(
         field=Field(grid=g, values=u_vals),
         energy=float(E),
@@ -478,10 +532,11 @@ def _best_descent(problem, starts, tolerances) -> SolveResult:
     """
     best = None
     for start in starts:
-        u, E, it, conv = _descend(problem, start, tolerances)
+        run = _descend(problem, start, tolerances)  # (u, E, iterations, converged, ...)
+        E, conv = run[1], run[3]
         if (best is None or (conv and not best[3])
                 or (conv == best[3] and E < best[1] - 1e-10 * abs(best[1]))):
-            best = (u, E, it, conv)
+            best = run
     return _package_result(problem, *best)
 
 
@@ -540,7 +595,7 @@ def estimate_s_star(frac: FracParams) -> dict:
     quotients = []
     for rho in rho_values:
         u = (rho / (r**2 + rho**2)) ** ((N - 2.0 * s) / 2.0) * cut
-        num = sig * w * float(spectral_sum(k2s, u))
+        num = sig * w * float(spectral_sum(k2s, half_spectrum(u)))
         den = (hN * float(np.sum(np.abs(u) ** two_star))) ** (2.0 / two_star)
         quotients.append(num / den)
     quotients = np.asarray(quotients)

@@ -44,6 +44,7 @@ from frns.cli import build_config, load_config, main as cli_main
 
 REPO = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 CFG_2D = os.path.join(REPO, "configs", "double_well_2d.cfg")
+CFG_1D = os.path.join(REPO, "configs", "single_well_1d.cfg")
 
 
 def report(capsys, num, name, ok):
@@ -304,7 +305,9 @@ def test_reference_level_d_v0(d_solve):
 
 # Descent cost: the shipped config took 49 iterations at 128^2 and 222 on
 # the 256^2 box of `grid_for_eps` at eps = 0.25 while the step and the
-# KKT residual used different active sets; with one set, 32 and 81.
+# KKT residual used different active sets; with one set, 32 and 81; with
+# the Polak-Ribiere+ CG step, 23 and 52.  The 1D config took 86 with the
+# preconditioned steepest step and 40 with CG.
 def test_descent_iterations_128(default_solve):
     _, res = default_solve
     assert res.converged and res.iterations <= 40
@@ -313,3 +316,9 @@ def test_descent_iterations_128(default_solve):
 def test_descent_iterations_256(sweep_rows):
     (row,) = [r for r in sweep_rows if r["eps"] == 0.25]
     assert row["converged"] and row["iterations"] <= 100
+
+
+def test_descent_iterations_1d():
+    cfg, _ = build_config(load_config(CFG_1D))
+    res = ground_state(cfg, grid_for_eps(cfg, cfg.eps, 1024))
+    assert res.converged and res.iterations <= 50

@@ -128,6 +128,19 @@ class TestNehariScale:
                 assert moments.energy(t) == pytest.approx(
                     problem.energy(u, quad, t), rel=1e-12)
 
+    def test_kept_spectrum_gives_the_gradient_of_the_scaled_field(self):
+        # the descent takes J'(t u) from the half spectrum of u that the
+        # Nehari scaling transformed, scaled by t
+        cfg = default_config()
+        grid = Grid(2, 64, 18.0)
+        problem = NehariProblem.penalized(cfg, grid)
+        u = gaussian_bump(grid, (-4.0, 0.0))
+        moments = NehariMoments(problem, u)
+        t, _ = moments.scale()
+        direct = problem.gradient(t * u)
+        reused = problem.gradient(t * u, t * moments.vhat)
+        assert np.max(np.abs(reused - direct)) <= 1e-13 * np.max(np.abs(direct))
+
     def test_rejects_nonpositive_field(self):
         cfg = default_config()
         grid = Grid(2, 64, 18.0)
@@ -173,13 +186,42 @@ class TestGroundState:
         assert np.array_equal(res2.field.values, res.field.values)
 
     def test_first_failed_line_search_ends_the_descent(self):
-        # no descent reaches grad = 1e-16; the 25th line search rejects
-        # all 40 trial steps, and with u, the gradient and the direction
-        # unchanged another search could only retry smaller steps
+        # no descent reaches grad = 1e-16; the 31st line search, along the
+        # steepest direction, rejects all 40 trial steps, and with u, the
+        # gradient and the direction unchanged another search could only
+        # retry smaller steps
         res = ground_state(default_config(), Grid(2, 64, 18.0),
                            tolerances=Tolerances(grad=1e-16))
         assert not res.converged
-        assert res.iterations == 25
+        assert res.iterations == 31
+
+    def test_failed_cg_search_is_retried_along_the_steepest_direction(self, monkeypatch):
+        import frns.solver as solver
+
+        # reject the first line search along a CG direction (beta > 0):
+        # the same iteration searches again along P pg, and the descent
+        # goes on to converge at the level of the unforced descent
+        betas, searches = [], []
+        real_direction, real_search = solver._descent_direction, solver._line_search
+
+        def direction(*args):
+            out = real_direction(*args)
+            betas.append(out[2])
+            return out
+
+        def search(problem, u, d, E, step):
+            searches.append((betas[-1], u))
+            if betas[-1] > 0.0 and sum(b > 0.0 for b, _ in searches) == 1:
+                return None
+            return real_search(problem, u, d, E, step)
+
+        monkeypatch.setattr(solver, "_descent_direction", direction)
+        monkeypatch.setattr(solver, "_line_search", search)
+        res = ground_state(default_config(), Grid(2, 64, 18.0))
+        k = next(i for i, (b, _) in enumerate(searches) if b > 0.0)
+        assert searches[k + 1][0] == 0.0 and searches[k + 1][1] is searches[k][1]
+        assert res.converged
+        assert res.energy == pytest.approx(0.458183, abs=1e-6)
 
     def test_best_descent_packages_only_the_winner(self, monkeypatch):
         import frns.solver as solver
@@ -216,7 +258,7 @@ class TestGroundState:
 
 class TestOneActiveSet:
     """The step and the KKT residual split the grid into the same active
-    and free points."""
+    and free points; the CG direction restarts at P pg."""
 
     def test_step_uses_the_residual_active_set(self):
         import frns.solver as solver
@@ -236,16 +278,50 @@ class TestOneActiveSet:
         precond = 1.0 / (grid.half_k_squared() + 0.3)
 
         pg, active = solver._projected_gradient(u, grad)
-        direction = solver._descent_direction(grad, pg, active, precond)
         smooth = spectral_multiply(precond, pg)
         assert not active[between_pos] and not active[between_neg] and active[zero_pos]
         assert pg[between_pos] == 1.0 and pg[zero_pos] == 0.0
-        # free in the residual, free in the step: the preconditioned pg
-        assert direction[between_pos] == smooth[between_pos] != grad[between_pos]
-        assert direction[between_neg] == smooth[between_neg]
-        assert direction[zero_pos] == grad[zero_pos]
-        # everywhere: the raw gradient exactly on active points with grad > 0
-        assert np.array_equal(direction, np.where(active & (grad > 0.0), grad, smooth))
+        # the first direction, and a CG one with beta = 2 > 0 (pg_prev =
+        # pg / 2) whose d_prev = P pg keeps it a descent direction
+        first, _, _ = solver._descent_direction(grad, pg, active, precond)
+        cg, _, beta = solver._descent_direction(
+            grad, pg, active, precond, (0.5 * pg, 0.5 * smooth, smooth))
+        assert beta == pytest.approx(2.0, rel=1e-12)
+        for direction, free in ((first, smooth), (cg, smooth + beta * smooth)):
+            # free in the residual, free in the step: the preconditioned pg
+            assert direction[between_pos] == free[between_pos] != grad[between_pos]
+            assert direction[between_neg] == free[between_neg]
+            assert direction[zero_pos] == grad[zero_pos]
+            # everywhere: the raw gradient exactly on active points with
+            # grad > 0, where d_prev is dropped
+            assert np.array_equal(direction, np.where(active & (grad > 0.0), grad, free))
+
+    def test_restart_direction_is_the_preconditioned_residual(self):
+        import frns.solver as solver
+        from frns.operator import spectral_multiply
+
+        grid = Grid(2, 32, 18.0)
+        u = gaussian_bump(grid, (0.0, 0.0), width=2.0)
+        u[u < 1e-3] = 0.0  # an active far field, where grad > 0 and < 0
+        grad = np.random.default_rng(4).normal(size=grid.shape)
+        precond = 1.0 / (grid.half_k_squared() + 0.3)
+        pg, active = solver._projected_gradient(u, grad)
+        smooth = spectral_multiply(precond, pg)
+        steepest = np.where(active & (grad > 0.0), grad, smooth)
+        assert np.any(active & (grad > 0.0)) and np.any(active & (grad < 0.0))
+        restarts = {
+            # the first direction
+            "first": None,
+            # beta = 2 > 0, but d = P pg - 2 P pg has <d, pg> < 0
+            "uphill": (0.5 * pg, 0.5 * smooth, -smooth),
+            # Polak-Ribiere+: <pg - pg_prev, P pg> < 0 truncates beta to 0
+            "negative_beta": (2.0 * pg, 2.0 * smooth, smooth),
+        }
+        for name, prev in restarts.items():
+            direction, ppg, beta = solver._descent_direction(grad, pg, active, precond, prev)
+            assert beta == 0.0, name
+            assert np.array_equal(ppg, smooth), name
+            assert np.array_equal(direction, steepest), name
 
 
 GRID_64 = Grid(2, 64, 18.0)
