@@ -416,8 +416,9 @@ def _kernel_checks(cfg):
     # truncation lifts it to 2e-5 for s = 1/4
     r = np.linspace(0.2, 6.0, 40)
     h = 1e-4
-    d2 = (theta_profile(s, r + h) - 2.0 * theta_profile(s, r) + theta_profile(s, r - h)) / h**2
-    resid = d2 + (1.0 - 2.0 * s) / r * theta_profile_deriv(s, r) - theta_profile(s, r)
+    th = theta_profile(s, r)
+    d2 = (theta_profile(s, r + h) - 2.0 * th + theta_profile(s, r - h)) / h**2
+    resid = d2 + (1.0 - 2.0 * s) / r * theta_profile_deriv(s, r) - th
     checks.append(("theta_ode_residual", float(np.max(np.abs(resid))), 0.0, 1e-4))
 
     checks.append(("kappa_s_equals_sigma_s", float(kappa_s(s)), float(sig), 1e-6))

@@ -6,7 +6,9 @@ periodically and the operator acts mode by mode through the symbol
 real, so every spectral multiplier (`spectral_multiply`) and quadratic
 form (`spectral_sum`) runs on real FFTs with its weight on the half
 spectrum, whose last axis keeps the modes 0..n/2; a spectrum taken once
-(`half_spectrum`) serves any number of multipliers.  A direct principal-value
+(`half_spectrum`) serves any number of multipliers.  A field even in every
+axis about the grid centre is also transformed from its even block alone
+(`Grid.even_block`, `even_block_spectrum`).  A direct principal-value
 quadrature of the singular-integral form is kept (1D only) as an
 independent cross-check of the spectral path, and the resolvent /
 Bessel-kernel pair gives the Green-function view.
@@ -16,7 +18,7 @@ from dataclasses import dataclass, field
 from math import gamma as Gamma
 
 import numpy as np
-from numpy.fft import irfftn, rfftn
+from numpy.fft import irfftn, rfft, rfftn
 
 from .specfun import DomainError, FracParams, bessel_k, half_line_rule, kernel_constants
 
@@ -93,6 +95,30 @@ class Grid:
     def half_k_squared(self) -> np.ndarray:
         """|k|^2 on the half spectrum, the shape of rfftn of a field."""
         return sum(k * k for k in self.half_wavenumbers())
+
+    def even_block(self) -> tuple:
+        """(|x|^2, |k|^2, multiplicity) on the even block, shape (n/2+1,)*N.
+
+        A field even in every axis about x = 0 (grid index n/2) is fixed by
+        its samples at indices n/2..n, read mod n: x_j = 0, h, ..., L, where
+        L stands for index 0 (x = -L).  Its spectrum is even too, fixed by
+        the modes 0..n/2 (`even_block_spectrum`).  Per axis both carry the
+        multiplicity 1, 2, ..., 2, 1, the number of full-grid samples or
+        modes an entry stands for, so a full-grid sum is the block sum
+        weighted by the product of the axes' multiplicities.
+        """
+        n, N = self.points_per_dim, self.n_dim
+        x = self.spacing * np.arange(n // 2 + 1)
+        k = self.half_wavenumbers()[-1]
+        mult = np.full(n // 2 + 1, 2.0)
+        mult[[0, -1]] = 1.0
+        r2, k2, weight = 0.0, 0.0, 1.0
+        for j in range(N):
+            shape = (-1,) + (1,) * (N - 1 - j)
+            r2 = r2 + (x * x).reshape(shape)
+            k2 = k2 + (k * k).reshape(shape)
+            weight = weight * mult.reshape(shape)
+        return r2, k2, weight
 
 
 @dataclass(frozen=True)
@@ -179,6 +205,23 @@ def from_half_spectrum(weight, vhat, shape):
     weights qualify, a derivative i k_j only once zeroed at that mode.
     """
     return irfftn(weight * vhat, s=shape, axes=range(len(shape)))
+
+
+def even_block_spectrum(block):
+    """The real DFT, on the even block, of a field even in every axis about
+    the grid centre, from its samples on the block (`Grid.even_block`).
+
+    Per axis the block is mirrored to the full length n (the cosine, or
+    DCT-I, form of the DFT of an even sequence) and one rfft keeps the
+    modes 0..n/2, whose imaginary part is round-off.  The DFT is taken
+    about index n/2, so it equals the full-grid spectrum up to the phase
+    (-1)^(k_1 + ... + k_N): |v_hat|^2 and every even weight agree.
+    """
+    out = block
+    for ax in range(block.ndim):
+        interior = (slice(None),) * ax + (slice(-2, 0, -1),)  # indices n/2-1..1
+        out = rfft(np.concatenate((out, out[interior]), axis=ax), axis=ax).real
+    return out
 
 
 def spectral_multiply(weight, values):

@@ -20,8 +20,8 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .operator import (Field, Grid, KernelTable, build_symbol, from_half_spectrum, half_spectrum,
-                       spectral_multiply, spectral_sum)
+from .operator import (Field, Grid, KernelTable, build_symbol, even_block_spectrum,
+                       from_half_spectrum, half_spectrum, spectral_multiply)
 from .model import (
     AssumptionError,
     ModelConfig,
@@ -563,8 +563,9 @@ def estimate_s_star(frac: FracParams) -> dict:
 
     Evaluates, over the bubble family
     u_rho(x) = rho^((N-2s)/2) / (|x|^2 + rho^2)^((N-2s)/2)
-    (smoothly cut off at half the box so periodization is exact), the
-    quotient
+    times a radial taper that starts at r = L/2 and is zero from r = 0.9 L
+    (so the support stays inside the ball inscribed in the box and the
+    periodization is exact), the quotient
 
         sigma_s * sum_k |k|^(2s) |u_hat|^2 / (sum |u|^(2*_s) h^N)^(2/2*_s),
 
@@ -578,25 +579,33 @@ def estimate_s_star(frac: FracParams) -> dict:
     edge warning is raised if that plateau sits at the end of the range.
     The family is sampled at 16 log-spaced rho in [0.02, 2], on 16384
     points of half-length 800 in 1D and 512^2 of half-length 30 in 2D.
+
+    Each u_rho is radial about x = 0, grid index n/2, so it is even in
+    every axis about that index, and both full-grid sums are evaluated
+    exactly on the even block (`Grid.even_block`, `even_block_spectrum`):
+    (n/2+1)^N samples, one mirrored rfft per axis.  Since
+    2*_s (N-2s)/2 = N, |u|^(2*_s) = q^N cut^(2*_s) with q = rho/(r^2+rho^2).
     """
     N, s = frac.n_dim, frac.s
     grid = Grid(N, 16384 if N == 1 else 512, 800.0 if N == 1 else 30.0)
     rho_values = np.geomspace(0.02, 2.0, 16)
-    two_star = 2.0 * N / (N - 2.0 * s)
+    two_star = frac.two_star
     hN = grid.spacing**grid.n_dim
-    k2s = grid.half_k_squared() ** s
     w = hN / grid.total_points
-    r = grid.radii()
+    r2, k2, mult = grid.even_block()
+    spec_weight = mult * k2**s
     L = grid.half_length
     # smooth radial cutoff supported in r < 0.9 L
-    cut = 0.5 * (1.0 + np.cos(np.pi * np.clip((r / L - 0.5) / 0.4, 0.0, 1.0)))
+    cut = 0.5 * (1.0 + np.cos(np.pi * np.clip((np.sqrt(r2) / L - 0.5) / 0.4, 0.0, 1.0)))
+    mult_cut_2star = mult * cut**two_star
 
     sig = sigma_s(s)
     quotients = []
     for rho in rho_values:
-        u = (rho / (r**2 + rho**2)) ** ((N - 2.0 * s) / 2.0) * cut
-        num = sig * w * float(spectral_sum(k2s, half_spectrum(u)))
-        den = (hN * float(np.sum(np.abs(u) ** two_star))) ** (2.0 / two_star)
+        q = rho / (r2 + rho**2)
+        G = even_block_spectrum(q ** ((N - 2.0 * s) / 2.0) * cut)
+        num = sig * w * float(np.sum(spec_weight * G * G))
+        den = (hN * float(np.sum(q**N * mult_cut_2star))) ** (2.0 / two_star)
         quotients.append(num / den)
     quotients = np.asarray(quotients)
     # central slope of log q vs log rho; flattest interior point

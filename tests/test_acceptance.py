@@ -303,6 +303,36 @@ def test_reference_level_d_v0(d_solve):
     assert d_solve.energy == pytest.approx(REFERENCE_D_V0, rel=REFERENCE_RTOL)
 
 
+# The 16 Rayleigh quotients of `frns sstar` on each shipped config, copied
+# from its `sstar.csv` at commit 2f74e14, where the quotient was still
+# evaluated on the full grid; the even-block evaluation reproduces them to
+# round-off (4.7e-16 relative), so 1e-13 pins the bubble family, the
+# cutoff and the quotient, and the plateau must sit at the same rho.
+SSTAR_RTOL = 1e-13
+SSTAR_REFERENCE = {
+    CFG_2D: {"rho_at_plateau": 0.23318288023596637, "quotients": [
+        1.9099505592903263, 1.8175167023848025, 1.7472467806615595, 1.7201310330841828,
+        1.7356482396404704, 1.7621832947628717, 1.7764473150888831, 1.7818711382791403,
+        1.7856994160510526, 1.7904975603222815, 1.7970136272112134, 1.8058903688972381,
+        1.8179819985589891, 1.834439257937978, 1.8567881625333102, 1.8869906873301112]},
+    CFG_1D: {"rho_at_plateau": 0.050237728630191596, "quotients": [
+        0.4026631601967815, 0.39993684720201522, 0.39914241102844145, 0.39914916300806325,
+        0.39899823655414224, 0.39837572008473304, 0.39739363019661061, 0.39618220158378209,
+        0.39477084447147076, 0.39314029702131287, 0.39126025470727549, 0.38909666657677455,
+        0.38661232243067783, 0.38376716489314328, 0.38051889580774195, 0.37682400601675059]},
+}
+
+
+@pytest.mark.parametrize("path", [CFG_2D, CFG_1D], ids=["2d", "1d"])
+def test_reference_s_star_quotients(path):
+    cfg, _ = build_config(load_config(path))
+    out = estimate_s_star(cfg.frac)
+    ref = SSTAR_REFERENCE[path]
+    assert out["quotients"] == pytest.approx(ref["quotients"], rel=SSTAR_RTOL, abs=0.0)
+    assert out["rho_at_plateau"] == ref["rho_at_plateau"]
+    assert out["edge_warning"] is False
+
+
 # Descent cost: the shipped config took 49 iterations at 128^2 and 222 on
 # the 256^2 box of `grid_for_eps` at eps = 0.25 while the step and the
 # KKT residual used different active sets; with one set, 32 and 81; with

@@ -16,10 +16,13 @@ from frns.operator import (
     apply_operator_singular,
     bessel_kernel,
     build_symbol,
+    even_block_spectrum,
+    half_spectrum,
     inner,
     norm_l2,
     operator_quadratic_form,
     solve_resolvent,
+    spectral_sum,
 )
 
 
@@ -177,6 +180,40 @@ class TestSpectralIdentities:
         grid, p1, t1 = make(m=1.0)
         _, p2, t2 = make(m=1.0 + 1e-7)
         assert np.max(np.abs(t1.symbol - t2.symbol) / t1.symbol) < 1e-6
+
+
+class TestEvenBlock:
+    """A field even in every axis about grid index n/2, given on its block
+    of indices n/2..n, against the same field on the full grid."""
+
+    @staticmethod
+    def even_field(n_dim, n, seed):
+        rng = np.random.default_rng(seed)
+        block = rng.standard_normal((n // 2 + 1,) * n_dim)
+        idx = np.abs(np.arange(n) - n // 2)  # full index j holds block entry |j - n/2|
+        return block, block[np.ix_(*(idx,) * n_dim)]
+
+    @pytest.mark.parametrize("n_dim", [1, 2])
+    def test_block_sums_match_full_grid(self, n_dim):
+        grid = Grid(n_dim, 64, 7.0)
+        s = 0.3
+        _, k2, mult = grid.even_block()
+        for seed in range(3):
+            block, u = self.even_field(n_dim, 64, seed)
+            G = even_block_spectrum(block)
+            vhat = half_spectrum(u)
+            for block_w, full_w in ((1.0, 1.0), (k2**s, grid.half_k_squared() ** s)):
+                full = spectral_sum(full_w, vhat)
+                assert float(np.sum(mult * block_w * G * G)) == pytest.approx(full, rel=1e-12)
+            assert float(np.sum(mult * block)) == pytest.approx(float(np.sum(u)), rel=1e-12)
+
+    @pytest.mark.parametrize("n_dim", [1, 2])
+    def test_block_coordinates_are_the_grid_radii(self, n_dim):
+        grid = Grid(n_dim, 64, 7.0)
+        r2, _, mult = grid.even_block()
+        idx = np.abs(np.arange(64) - 32)  # block index 32 (x = L) stands for x = -L
+        assert np.allclose(r2[np.ix_(*(idx,) * n_dim)], grid.radii() ** 2, rtol=1e-14, atol=0.0)
+        assert float(np.sum(mult)) == grid.total_points
 
 
 class TestResolvent:
