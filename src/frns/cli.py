@@ -5,6 +5,10 @@ Config files are flat ``key = value`` text with dotted sections (see
 docs/config.md); unknown keys are hard errors so misconfiguration fails
 loudly.  Exit codes: 0 pass, 1 numerical failure, 2 invalid parameters,
 3 parse error.
+
+At module scope only the standard library and `params` are imported, so
+`validate` runs without numpy; each command imports the array layers it
+runs when it starts.
 """
 
 import argparse
@@ -15,46 +19,19 @@ import os
 import sys
 from dataclasses import dataclass
 
-import numpy as np
-
 from . import __version__
-from .specfun import (
+from .params import (
+    AssumptionError,
     DomainError,
     FracParams,
-    kappa_s,
-    sigma_s,
-    theta_profile,
-    theta_profile_deriv,
-)
-from .operator import (
-    Field,
-    Grid,
-    apply_operator,
-    bessel_kernel,
-    build_symbol,
-    solve_resolvent,
-)
-from .extension import conormal_derivative, extend
-from .model import (
-    AssumptionError,
     ModelConfig,
     NonlinearitySpec,
+    NoPositivePartError,
     PenalizationSpec,
     PotentialSpec,
+    Tolerances,
     solve_penalization_threshold,
     validate_config,
-)
-from .solver import (
-    AutonomousConfig,
-    NoPositivePartError,
-    Tolerances,
-    autonomous_ground_state,
-    estimate_s_star,
-    concentration_sweep,
-    grid_for_eps,
-    ground_state,
-    shell_envelope,
-    solve_report,
 )
 
 EXIT_PASS = 0
@@ -240,7 +217,10 @@ def build_config(raw):
     return cfg, settings
 
 
-def _grid_for(cfg, settings) -> Grid:
+def _grid_for(cfg, settings):
+    from .operator import Grid
+    from .solver import grid_for_eps
+
     if settings.half_length > 0.0:
         return Grid(cfg.frac.n_dim, settings.points_per_dim, settings.half_length)
     return grid_for_eps(cfg, cfg.eps, settings.points_per_dim)
@@ -251,6 +231,8 @@ def _grid_for(cfg, settings) -> Grid:
 
 def _column_format(value) -> str:
     """printf conversion of a column whose values have the kind of `value`."""
+    import numpy as np
+
     if isinstance(value, (bool, np.bool_, str)):
         return "%s"
     if isinstance(value, (int, np.integer)):
@@ -266,6 +248,8 @@ def write_csv(path, header, rows, cfg_hash):
     significant digits, so reruns are bit-comparable.  No field is
     quoted; names and strings hold no commas, quotes or line breaks.
     """
+    import numpy as np
+
     with open(path, "w", encoding="utf-8", newline="") as f:
         f.write(f"# config-hash: {cfg_hash}\r\n" + ",".join(header) + "\r\n")
         line = None
@@ -316,6 +300,8 @@ def write_manifest(out_dir, cfg_hash, seed, outputs, **extra):
 def write_svg(path, xs, ys, title, xlabel, ylabel):
     """Minimal SVG 1.1 line plot: axes, polyline, labels.  No dependencies;
     figures are a convenience, the CSVs are the contract."""
+    import numpy as np
+
     W, H = 640, 440
     ml, mr, mt, mb = 70, 20, 40, 50
     xs = np.asarray(xs, dtype=float)
@@ -397,6 +383,12 @@ def _kernel_checks(cfg):
     Each check passes when |computed - expected| <= tolerance; the
     tolerances are absolute on the stated quantity.
     """
+    import numpy as np
+
+    from .extension import conormal_derivative, extend
+    from .operator import Field, Grid, apply_operator, bessel_kernel, build_symbol, solve_resolvent
+    from .specfun import kappa_s, sigma_s, theta_profile, theta_profile_deriv
+
     frac = cfg.frac
     s, m, N = frac.s, frac.m, frac.n_dim
     sig = sigma_s(s)
@@ -490,6 +482,10 @@ def _select(row, columns, keys) -> tuple:
 
 
 def cmd_solve(args) -> int:
+    import numpy as np
+
+    from .solver import ground_state, shell_envelope, solve_report
+
     raw = load_config(args.config)
     cfg, settings = build_config(raw)
     cfg_hash = config_hash(raw)
@@ -530,6 +526,9 @@ def cmd_solve(args) -> int:
 
 
 def cmd_sweep(args) -> int:
+    from .operator import Grid
+    from .solver import AutonomousConfig, autonomous_ground_state, concentration_sweep
+
     raw = load_config(args.config)
     cfg, settings = build_config(raw)
     cfg_hash = config_hash(raw)
@@ -581,6 +580,8 @@ def cmd_sweep(args) -> int:
 
 
 def cmd_sstar(args) -> int:
+    from .operator import estimate_s_star
+
     raw = load_config(args.config)
     cfg_hash = config_hash(raw)
     frac = FracParams(s=raw["frac.s"], m=raw["frac.m"], n_dim=raw["frac.n_dim"])
@@ -634,11 +635,15 @@ def main(argv=None) -> int:
     # afresh, trims the heap top beyond twice that threshold, and raises
     # the threshold to the size of any mapped block that is freed.  From
     # its start value, 128 KiB, the grid-sized temporaries of the solver
-    # are paged in again on nearly every allocation (17k minor faults per
-    # warm 2D solve, against a handful after this); freeing one 8 MiB
-    # block raises the threshold above the fields and half spectra of
-    # every grid up to 512^2 points.
-    np.empty(1 << 20)
+    # are paged in again on nearly every allocation (about 1,500 minor
+    # faults per warm 2D solve, against a handful after this); freeing one
+    # 8 MiB block raises the threshold above the fields and half spectra of
+    # every grid up to 512^2 points.  validate builds no arrays and runs
+    # without numpy.
+    if args.fn is not cmd_validate:
+        import numpy as np
+
+        np.empty(1 << 20)
     try:
         return args.fn(args)
     except ConfigError as exc:

@@ -20,38 +20,25 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .operator import (Field, Grid, KernelTable, build_symbol, even_block_spectrum,
-                       from_half_spectrum, half_spectrum, spectral_multiply)
-from .model import (
+from .operator import (Field, Grid, KernelTable, build_symbol, from_half_spectrum,
+                       half_spectrum, spectral_multiply)
+from .model import G_eval, g_eval, lambda_mask, potential_on_grid
+from .params import (
     AssumptionError,
+    DomainError,
+    FracParams,
     ModelConfig,
     NonlinearitySpec,
-    G_eval,
-    g_eval,
-    lambda_mask,
-    potential_on_grid,
+    NoPositivePartError,
+    Tolerances,
+    brentq,
 )
-from .specfun import DomainError, FracParams, brentq, sigma_s, sobolev_trace_constant
-
-
-class NoPositivePartError(ValueError):
-    """Candidate field has no positive part where the full nonlinearity acts."""
+from .specfun import sobolev_trace_constant
 
 
 class NoBracketError(RuntimeError):
     """Nehari scaling found no sign change before t or the mismatch left
     the finite numbers."""
-
-
-@dataclass(frozen=True)
-class Tolerances:
-    """Stopping rule of `_descend`, which also stops, unconverged, when a
-    line search along the steepest (preconditioned, beta = 0) direction
-    rejects all 40 trial steps; a failed CG search is retried once along
-    that direction first."""
-
-    grad: float = 1e-6          # relative max-norm of the projected (KKT) gradient
-    max_iterations: int = 20000
 
 
 @dataclass(frozen=True)
@@ -556,77 +543,6 @@ def mp_threshold(config: ModelConfig) -> float:
     S = sobolev_trace_constant(N, s)
     z = zeta_constant(config)
     return (s / N) * (z * S) ** (N / (2.0 * s))
-
-
-def estimate_s_star(frac: FracParams) -> dict:
-    """Rayleigh-quotient estimate of the trace Sobolev constant S_*.
-
-    Evaluates, over the bubble family
-    u_rho(x) = rho^((N-2s)/2) / (|x|^2 + rho^2)^((N-2s)/2)
-    times a radial taper that starts at r = L/2 and is zero from r = 0.9 L
-    (so the support stays inside the ball inscribed in the box and the
-    periodization is exact), the quotient
-
-        sigma_s * sum_k |k|^(2s) |u_hat|^2 / (sum |u|^(2*_s) h^N)^(2/2*_s),
-
-    whose numerator is the weighted Dirichlet energy of the m = 0
-    extension (property (E2) written through the kappa_s = sigma_s
-    identity).  The continuum quotient is rho-independent on the bubble
-    family, but the discrete one is polluted by grid resolution at small
-    rho and by box truncation at large rho (where it degenerates toward
-    the constant-function limit 0 on the torus).  The estimate is
-    therefore read off where the curve is flattest in log rho, and an
-    edge warning is raised if that plateau sits at the end of the range.
-    The family is sampled at 16 log-spaced rho in [0.02, 2], on 16384
-    points of half-length 800 in 1D and 512^2 of half-length 30 in 2D.
-
-    Each u_rho is radial about x = 0, grid index n/2, so it is even in
-    every axis about that index, and both full-grid sums are evaluated
-    exactly on the even block (`Grid.even_block`, `even_block_spectrum`):
-    (n/2+1)^N samples, one mirrored rfft per axis.  Since
-    2*_s (N-2s)/2 = N, |u|^(2*_s) = q^N cut^(2*_s) with q = rho/(r^2+rho^2).
-    """
-    N, s = frac.n_dim, frac.s
-    grid = Grid(N, 16384 if N == 1 else 512, 800.0 if N == 1 else 30.0)
-    rho_values = np.geomspace(0.02, 2.0, 16)
-    two_star = frac.two_star
-    hN = grid.spacing**grid.n_dim
-    w = hN / grid.total_points
-    r2, k2, mult = grid.even_block()
-    spec_weight = mult * k2**s
-    L = grid.half_length
-    # smooth radial cutoff supported in r < 0.9 L
-    cut = 0.5 * (1.0 + np.cos(np.pi * np.clip((np.sqrt(r2) / L - 0.5) / 0.4, 0.0, 1.0)))
-    mult_cut_2star = mult * cut**two_star
-
-    sig = sigma_s(s)
-    quotients = []
-    for rho in rho_values:
-        q = rho / (r2 + rho**2)
-        G = even_block_spectrum(q ** ((N - 2.0 * s) / 2.0) * cut)
-        num = sig * w * float(np.sum(spec_weight * G * G))
-        den = (hN * float(np.sum(q**N * mult_cut_2star))) ** (2.0 / two_star)
-        quotients.append(num / den)
-    quotients = np.asarray(quotients)
-    # central slope of log q vs log rho; flattest interior point
-    dlogq = np.abs(np.log(quotients[2:]) - np.log(quotients[:-2]))
-    i_best = 1 + int(np.argmin(dlogq))
-    edge = i_best in (1, len(quotients) - 2)
-    if edge:
-        import warnings
-
-        warnings.warn(
-            "Rayleigh quotient plateau at the edge of the rho range; "
-            "estimate may not be resolved"
-        )
-    return {
-        "estimate": float(quotients[i_best]),
-        "rho_values": list(map(float, rho_values)),
-        "quotients": quotients.tolist(),
-        "rho_at_plateau": float(rho_values[i_best]),
-        "edge_warning": edge,
-        "formula": float(sobolev_trace_constant(N, s)),
-    }
 
 
 def verify_solution_region(result: SolveResult, config: ModelConfig) -> dict:

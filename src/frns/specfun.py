@@ -5,8 +5,8 @@ Everything here is scalar math: the modified Bessel function K_nu, the
 radial extension profile theta(r) = (2/Gamma(s)) (r/2)^s K_s(r), the
 Gamma-function constants (sigma_s, kappa_s, the sharp trace-Sobolev
 constant, and the singular-integral normalization), a fixed half-line
-quadrature rule, Richardson extrapolation and Brent's root finder.  All
-functions are pure and re-entrant.
+quadrature rule and Richardson extrapolation.  All functions are pure
+and re-entrant.
 
 The module needs numpy alone: the Gamma constants use math.gamma, K_nu
 is Temme's series for small x and a trapezoidal rule on its integral
@@ -15,44 +15,11 @@ instead of adaptive quadrature.
 """
 
 import math
-from dataclasses import dataclass
 from math import gamma as Gamma
 
 import numpy as np
 
-
-class DomainError(ValueError):
-    """Argument outside the mathematical domain of a special function."""
-
-
-@dataclass(frozen=True)
-class FracParams:
-    """Fractional order s in (0,1), mass m > 0 and spatial dimension.
-
-    Requires n_dim > 2s so that the critical exponent
-    2N/(N - 2s) is finite and > 2.
-    """
-
-    s: float
-    m: float
-    n_dim: int
-
-    def __post_init__(self):
-        if not 0.0 < self.s < 1.0:
-            raise DomainError(f"s must lie in (0, 1), got {self.s}")
-        if not self.m > 0.0:
-            raise DomainError(f"m must be positive, got {self.m}")
-        if not self.n_dim > 2.0 * self.s:
-            raise DomainError(
-                f"need n_dim > 2s for a finite critical exponent, "
-                f"got n_dim={self.n_dim}, s={self.s}"
-            )
-
-    @property
-    def two_star(self) -> float:
-        """Critical exponent 2N/(N - 2s)."""
-        return 2.0 * self.n_dim / (self.n_dim - 2.0 * self.s)
-
+from .params import DomainError, FracParams
 
 # Taylor coefficients c_1, c_2, ... of 1/Gamma(z) = sum_k c_k z^k about z = 0
 # (Abramowitz-Stegun 6.1.34); the terms past c_22 stay below 1e-20 at |z| <= 1/2.
@@ -314,67 +281,3 @@ def kernel_constants(params: FracParams) -> float:
         / Gamma(2.0 - s)
     )
     return float(C_Ns)
-
-
-def brentq(f, a, b, xtol=2e-12, rtol=8.881784197001252e-16, maxiter=100):
-    """Root of f in the bracket [a, b] by Brent's method (Brent,
-    *Algorithms for Minimization without Derivatives*, 1973, ch. 4).
-
-    A line-for-line port of scipy.optimize.brentq (its brentq.c), so the
-    iterates and the root are the same to the last bit: inverse
-    quadratic interpolation or secant steps, falling back to bisection,
-    until the bracket is below xtol + rtol |x|.  An endpoint where f is
-    exactly zero is returned as is.  Raises ValueError if f(a) and f(b)
-    have the same sign or f returns nan, and RuntimeError if maxiter
-    iterations do not converge.
-    """
-    def call(x):
-        fx = float(f(x))
-        if math.isnan(fx):
-            raise ValueError(f"the function value at x={x} is nan; brentq cannot continue")
-        return fx
-
-    xpre, xcur = float(a), float(b)
-    xblk = fblk = spre = scur = 0.0
-    fpre, fcur = call(xpre), call(xcur)
-    if fpre == 0.0:
-        return xpre
-    if fcur == 0.0:
-        return xcur
-    if (fpre < 0.0) == (fcur < 0.0):
-        raise ValueError("f(a) and f(b) must have different signs")
-    for _ in range(maxiter):
-        if fpre != 0.0 and fcur != 0.0 and (fpre < 0.0) != (fcur < 0.0):
-            xblk, fblk = xpre, fpre
-            spre = scur = xcur - xpre
-        if abs(fblk) < abs(fcur):
-            xpre, xcur, xblk = xcur, xblk, xcur
-            fpre, fcur, fblk = fcur, fblk, fcur
-        # the tolerance is 2 * delta
-        delta = (xtol + rtol * abs(xcur)) / 2.0
-        sbis = (xblk - xcur) / 2.0
-        if fcur == 0.0 or abs(sbis) < delta:
-            return xcur
-        if abs(spre) > delta and abs(fcur) < abs(fpre):
-            if xpre == xblk:
-                # interpolate
-                stry = -fcur * (xcur - xpre) / (fcur - fpre)
-            else:
-                # extrapolate
-                dpre = (fpre - fcur) / (xpre - xcur)
-                dblk = (fblk - fcur) / (xblk - xcur)
-                stry = -fcur * (fblk * dblk - fpre * dpre) / (dblk * dpre * (fblk - fpre))
-            if 2.0 * abs(stry) < min(abs(spre), 3.0 * abs(sbis) - delta):
-                # good short step
-                spre, scur = scur, stry
-            else:
-                spre = scur = sbis
-        else:
-            spre = scur = sbis
-        xpre, fpre = xcur, fcur
-        if abs(scur) > delta:
-            xcur += scur
-        else:
-            xcur += delta if sbis > 0.0 else -delta
-        fcur = call(xcur)
-    raise RuntimeError(f"brentq failed to converge after {maxiter} iterations, value is {xcur}")

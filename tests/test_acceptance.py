@@ -26,6 +26,7 @@ from frns.operator import (
     apply_operator,
     apply_operator_singular,
     build_symbol,
+    estimate_s_star,
     norm_l2,
 )
 from frns.extension import conormal_derivative, extend
@@ -34,7 +35,6 @@ from frns.solver import (
     NehariProblem,
     autonomous_ground_state,
     concentration_sweep,
-    estimate_s_star,
     grid_for_eps,
     ground_state,
     mp_threshold,

@@ -1,4 +1,4 @@
-"""Brent root finder (specfun.brentq) against scipy.optimize.brentq.
+"""Brent root finder (params.brentq) against scipy.optimize.brentq.
 
 The port must reproduce scipy's iterates bit for bit: every comparison
 below records the points at which each implementation evaluates f and
@@ -14,11 +14,11 @@ import numpy as np
 import pytest
 from scipy.optimize import brentq as scipy_brentq
 
-import frns.model as model
+import frns.params as params
 import frns.solver as solver
 from frns.cli import build_config, load_config
 from frns.solver import NehariMoments, NehariProblem, default_init, grid_for_eps
-from frns.specfun import brentq
+from frns.params import brentq
 
 REPO = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 CONFIGS = [os.path.join(REPO, "configs", name)
@@ -44,7 +44,8 @@ def twin_calls(monkeypatch):
         calls.append((a, b))
         return compare_with_scipy(f, a, b, **kwargs)
 
-    monkeypatch.setattr(model, "brentq", twin)
+    # the threshold solve runs in params, the Nehari scaling in solver
+    monkeypatch.setattr(params, "brentq", twin)
     monkeypatch.setattr(solver, "brentq", twin)
     return calls
 

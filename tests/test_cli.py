@@ -3,14 +3,19 @@
 import csv
 import json
 import os
+import platform
+import re
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import frns.cli as cli
 import frns.solver as solver
+import frns.specfun as specfun
 from frns.operator import Grid
 from frns.cli import (
     EXIT_INVALID,
@@ -43,41 +48,102 @@ def read_rows(path):
 
 
 # Runs the CLI with the given arguments (none: import only) in a fresh
-# interpreter and prints the exit code and the scipy modules then loaded.
-SCIPY_PROBE = """
+# interpreter and prints the exit code and the numpy, scipy and frns.*
+# modules then loaded.
+MODULE_PROBE = """
 import sys
 import frns.cli
 rc = frns.cli.main(sys.argv[1:]) if sys.argv[1:] else 0
-print(rc, *sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy.")))
+print(rc, *sorted(m for m in sys.modules
+                  if m in ("numpy", "scipy") or m.startswith(("scipy.", "frns."))))
 """
 
+# the modules each command may load, beyond the standard library: validate
+# checks scalar inequalities only, sstar needs the even-block transform and
+# kernels the extension, but neither runs the solver
+BASE = {"frns.cli", "frns.params"}
+ARRAYS = BASE | {"numpy", "frns.specfun", "frns.operator"}
+MODULE_BUDGET = {
+    "import": BASE,
+    "validate": BASE,
+    "sstar": ARRAYS,
+    "kernels": ARRAYS | {"frns.extension"},
+    "solve": ARRAYS | {"frns.model", "frns.solver"},
+}
 
-def run_scipy_probe(*argv):
-    """(exit code, loaded scipy modules) of `frns *argv` in a fresh interpreter."""
+
+@pytest.fixture(scope="module")
+def probes(tmp_path_factory):
+    """command -> (exit code, loaded modules) of each command of
+    MODULE_BUDGET in a fresh interpreter."""
+    tmp = tmp_path_factory.mktemp("probe")
     env = dict(os.environ, PYTHONPATH=os.path.join(REPO, "src"))
-    out = subprocess.run([sys.executable, "-c", SCIPY_PROBE, *argv], env=env,
-                         check=True, capture_output=True, text=True, timeout=120)
-    rc, *loaded = out.stdout.splitlines()[-1].split()
-    return int(rc), loaded
+    out = {}
+    for command in MODULE_BUDGET:
+        argv = [command, "--config", CFG_1D]
+        if command == "solve":
+            text = open(CFG_2D).read().replace(
+                "grid.points_per_dim = 128", "grid.points_per_dim = 64")
+            argv = [command, "--config", write_cfg(tmp, text)]
+        if command not in ("import", "validate"):
+            argv += ["--out", str(tmp / command)]
+        run = subprocess.run([sys.executable, "-c", MODULE_PROBE,
+                              *(argv if command != "import" else [])],
+                             env=env, check=True, capture_output=True, text=True, timeout=120)
+        rc, *loaded = run.stdout.splitlines()[-1].split()
+        out[command] = int(rc), set(loaded)
+    return out
 
 
 class TestScipyStaysUnloaded:
     # importing scipy.special and .integrate costs about 0.6 s, and no
     # command needs scipy: K_nu and the kappa_s rule are in specfun
 
-    def test_import_loads_no_scipy(self):
-        assert run_scipy_probe() == (EXIT_PASS, [])
+    def test_import_loads_no_scipy(self, probes):
+        rc, loaded = probes["import"]
+        assert rc == EXIT_PASS
+        assert not any(m.startswith("scipy") for m in loaded)
 
     @pytest.mark.parametrize("command", ["validate", "sstar", "solve", "kernels"])
-    def test_command_loads_no_scipy(self, command, tmp_path):
-        argv = [command, "--config", CFG_1D]
-        if command == "solve":
-            text = open(CFG_2D).read().replace(
-                "grid.points_per_dim = 128", "grid.points_per_dim = 64")
-            argv = [command, "--config", write_cfg(tmp_path, text)]
-        if command != "validate":
-            argv += ["--out", str(tmp_path / "out")]
-        assert run_scipy_probe(*argv) == (EXIT_PASS, [])
+    def test_command_loads_no_scipy(self, command, probes):
+        rc, loaded = probes[command]
+        assert rc == EXIT_PASS
+        assert not any(m.startswith("scipy") for m in loaded)
+
+
+class TestModuleBudget:
+    # a fresh process pays for every module it imports: numpy alone takes
+    # about 90 ms, and solver.py, which kernels and sstar never call, is
+    # the largest module of the package
+
+    @pytest.mark.parametrize("command", sorted(MODULE_BUDGET))
+    def test_command_loads_only_its_layers(self, command, probes):
+        rc, loaded = probes[command]
+        assert rc == EXIT_PASS
+        assert loaded == MODULE_BUDGET[command]
+
+
+MALLOC_PROBE = """
+import resource, sys
+import frns.cli
+argv = ["solve", "--config", sys.argv[1], "--out", sys.argv[2]]
+for _ in range(2):
+    before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+    assert frns.cli.main(argv) == 0
+print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
+"""
+
+
+@pytest.mark.skipif(platform.libc_ver()[0] != "glibc", reason="glibc malloc only")
+def test_warm_solve_reuses_the_heap(tmp_path):
+    # main frees one 8 MiB block before a command that builds arrays, which
+    # lifts glibc's mmap threshold above the solver's temporaries; a second
+    # 2D solve in the same process then takes a few minor page faults
+    # (about 1,500 without the step, 2 with it on the 2D config)
+    env = dict(os.environ, PYTHONPATH=os.path.join(REPO, "src"))
+    out = subprocess.run([sys.executable, "-c", MALLOC_PROBE, CFG_2D, str(tmp_path)], env=env,
+                         check=True, capture_output=True, text=True, timeout=120)
+    assert int(out.stdout.splitlines()[-1]) < 500
 
 
 class TestConfigParsing:
@@ -182,6 +248,38 @@ class TestExitCodes:
         assert main(["validate", "--config", p]) == EXIT_PARSE
         assert "not a finite number" in capsys.readouterr().err
 
+    def test_far_lambda_center_is_invalid(self, tmp_path, capsys):
+        # the wells are 1e308 from the centre of Lambda; squaring that
+        # distance overflows, its math.dist does not
+        text = open(CFG_2D).read().replace(
+            "potential.lambda_center = 0 0", "potential.lambda_center = 1e308 0")
+        p = write_cfg(tmp_path, text)
+        assert main(["validate", "--config", p]) == EXIT_INVALID
+        err = capsys.readouterr().err
+        assert err.startswith("invalid parameters: (V2)")
+        assert err.count("\n") == 1
+
+    def test_huge_lambda_radius_validates_without_warnings(self, tmp_path, capsys):
+        text = open(CFG_2D).read().replace(
+            "potential.lambda_radius = 2.5", "potential.lambda_radius = 1e308")
+        p = write_cfg(tmp_path, text)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(["validate", "--config", p]) == EXIT_PASS
+        assert capsys.readouterr().err == ""
+
+    @pytest.mark.parametrize("command", ["validate", "solve"])
+    def test_mass_with_infinite_square_is_invalid(self, tmp_path, capsys, command):
+        # m^2 tabulates the symbol; m = 1e300 passes m > 0 but m^2 overflows
+        text = open(CFG_2D).read().replace("frac.m = 1.0", "frac.m = 1e300")
+        argv = [command, "--config", write_cfg(tmp_path, text)]
+        if command == "solve":
+            argv += ["--out", str(tmp_path / "o")]
+        assert main(argv) == EXIT_INVALID
+        err = capsys.readouterr().err
+        assert err.startswith("invalid parameters: m^2 must be a positive finite number")
+        assert err.count("\n") == 1
+
     @pytest.mark.parametrize("half_length", ["1e-300", "1e308"])
     def test_extreme_half_length_is_invalid(self, tmp_path, capsys, half_length):
         # h^N underflows to 0 and (pi/h)^2 overflows, or h itself is inf
@@ -285,7 +383,8 @@ class TestKernels:
         assert all(r[-1] == "true" for r in body)
 
     def test_corrupted_sigma_fails(self, tmp_path, monkeypatch):
-        monkeypatch.setattr(cli, "sigma_s", lambda s: 0.5)
+        # _kernel_checks imports sigma_s from specfun when it runs
+        monkeypatch.setattr(specfun, "sigma_s", lambda s: 0.5)
         out = str(tmp_path / "k")
         assert main(["kernels", "--config", CFG_2D, "--out", out]) == EXIT_NUMERICAL
 
@@ -425,3 +524,83 @@ class TestSweep:
         assert code == EXIT_PASS
         assert [r["decay_C2"] for r in rows] == ["nan"] * 3
         assert all(r["energy"] != "nan" for r in rows)
+
+
+# ---------------------------------------------------------------------------
+# properties of the config parser, which runs on the standard library alone
+# (module-level functions: hypothesis's differing_executors health check
+# fails @given methods of a parametrized class)
+
+FINITE = st.floats(allow_nan=False, allow_infinity=False)
+POINT = st.lists(FINITE, min_size=1, max_size=3).map(tuple)
+KIND_VALUES = {
+    "float": FINITE,
+    "int": st.integers(-(2**53), 2**53),  # read through float, exact up to 2^53
+    "point": POINT,
+    "float_list": st.lists(FINITE, min_size=1, max_size=4).map(tuple),
+    "point_list": st.lists(POINT, min_size=1, max_size=3).map(tuple),
+}
+CONFIG_VALUES = st.fixed_dictionaries(
+    {key: KIND_VALUES[kind] for key, (kind, _, _) in cli._SCHEMA.items()})
+# comment text: anything but control characters, which include the line breaks
+COMMENT = st.text(st.characters(blacklist_categories=("Cs", "Cc")), max_size=12)
+SHIPPED_LINES = [line for line in open(CFG_2D).read().splitlines()
+                 if line.split("#", 1)[0].strip()]
+
+
+def format_value(kind, value) -> str:
+    """The config text of `value`, every number written with repr."""
+    if kind in ("float", "int"):
+        return repr(value)
+    if kind == "point":
+        return " ".join(map(repr, value))
+    if kind == "float_list":
+        return ", ".join(map(repr, value))
+    return "; ".join(" ".join(map(repr, p)) for p in value)
+
+
+@pytest.fixture(scope="module")
+def cfg_dir(tmp_path_factory):
+    return tmp_path_factory.mktemp("properties")
+
+
+@settings(max_examples=60, deadline=None)
+@given(values=CONFIG_VALUES)
+def test_load_config_reads_back_every_kind(values, cfg_dir):
+    text = "".join(f"{key} = {format_value(cli._SCHEMA[key][0], v)}\n"
+                   for key, v in values.items())
+    raw = load_config(write_cfg(cfg_dir, text))
+    # repr tells -0.0 from 0.0 and an int from a float
+    assert {k: repr(v) for k, v in raw.items()} == {k: repr(v) for k, v in values.items()}
+
+
+@settings(max_examples=60, deadline=None)
+@given(order=st.permutations(SHIPPED_LINES), data=st.data())
+def test_hash_ignores_order_comments_and_blank_lines(order, data, cfg_dir):
+    fillers = st.sampled_from(["", "  "]) | COMMENT.map(lambda c: "#" + c)
+    lines = []
+    for line in order:
+        key, _, value = line.partition("=")
+        lines += data.draw(st.lists(fillers, max_size=2))
+        pad = data.draw(st.sampled_from(["", " ", "\t"]))
+        tail = data.draw(st.none() | COMMENT.map(lambda c: " #" + c))
+        lines.append(f"{pad}{key.strip()}{pad}={pad}{value.strip()}{tail or ''}")
+    raw = load_config(write_cfg(cfg_dir, "\n".join(lines) + "\n"))
+    assert config_hash(raw) == config_hash(load_config(CFG_2D))
+
+
+@settings(max_examples=60, deadline=None)
+@given(line=st.sampled_from(SHIPPED_LINES), data=st.data(),
+       bad=st.sampled_from(["nan", "NaN", "-nan", "inf", "-inf", "Infinity", "1e400", "-1e400"]))
+def test_non_finite_number_is_a_parse_error_on_its_line(line, data, bad, cfg_dir):
+    text = open(CFG_2D).read().splitlines()
+    line_no = text.index(line) + 1
+    key, _, value = line.partition("=")
+    numbers = list(re.finditer(r"[^\s,;]+", value))
+    hit = data.draw(st.sampled_from(numbers))
+    text[line_no - 1] = f"{key}={value[:hit.start()]}{bad}{value[hit.end():]}"
+    path = write_cfg(cfg_dir, "\n".join(text) + "\n")
+    with pytest.raises(cli.ConfigError, match="not a finite number") as exc:
+        load_config(path)
+    assert exc.value.line_no == line_no
+    assert main(["validate", "--config", path]) == EXIT_PARSE

@@ -3,6 +3,7 @@ and the energy and gradient that the solver's problem object builds
 from them."""
 
 import os
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -11,16 +12,13 @@ from scipy.optimize import bisect
 
 from frns.specfun import FracParams
 from frns.operator import Grid
-from frns.model import (
+from frns.model import G_eval, g_eval, lambda_mask, potential_on_grid, potential_values
+from frns.params import (
     AssumptionError,
     ModelConfig,
     NonlinearitySpec,
     PenalizationSpec,
     PotentialSpec,
-    G_eval,
-    g_eval,
-    lambda_mask,
-    potential_on_grid,
     solve_penalization_threshold,
     validate_config,
 )
@@ -52,16 +50,35 @@ def default_config(eps=0.25, kappa=10.0):
 class TestPotential:
     def test_wells_reach_the_depth(self):
         for mp in POT.M_points:
-            assert POT(np.array([mp[0]]), np.array([mp[1]]))[0] == pytest.approx(
-                -0.2, abs=1e-14
-            )
+            v = potential_values(POT, np.array([mp[0]]), np.array([mp[1]]))
+            assert v[0] == pytest.approx(-0.2, abs=1e-14)
 
     def test_bounded_between_minus_v0_and_v1_minus_v0(self):
         xs = np.linspace(-6, 6, 121)
         X, Y = np.meshgrid(xs, xs)
-        v = POT(X, Y)
+        v = potential_values(POT, X, Y)
         assert np.min(v) >= -0.2 - 1e-14
         assert np.max(v) <= -0.2 + POT.barrier + 1e-14
+
+    @pytest.mark.parametrize("pot", [
+        POT,
+        replace(POT, lambda_radius=1.5),  # the sphere passes 0.5 from a well, on the ramp
+        PotentialSpec(V1=0.2, V0=0.2, M_points=((0.3,), (-0.1,)), lambda_center=(0.05,),
+                      lambda_radius=1.0),
+    ], ids=["2d", "2d_on_ramp", "1d"])
+    def test_boundary_min_is_the_minimum_on_the_sphere(self, pot):
+        # the closed form is exact: no sample of the sphere reads lower, and
+        # a dense one comes within its spacing squared
+        c, R = pot.lambda_center, pot.lambda_radius
+        if len(c) == 1:
+            sphere = (np.array([c[0] - R, c[0] + R]),)
+        else:
+            phi = np.linspace(0.0, 2.0 * np.pi, 100_000, endpoint=False)
+            sphere = (c[0] + R * np.cos(phi), c[1] + R * np.sin(phi))
+        sampled = float(np.min(potential_values(pot, *sphere)))
+        exact = pot.boundary_min()
+        assert -0.2 < exact <= sampled + 1e-15
+        assert sampled - exact < 1e-8
 
     def test_lambda_membership(self):
         assert POT.in_lambda(np.array([0.0]), np.array([0.0]))[0]

@@ -8,8 +8,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from frns.specfun import FracParams, sobolev_trace_constant
-from frns.operator import Field, Grid
-from frns.model import (
+from frns.operator import Field, Grid, estimate_s_star
+from frns.params import (
     ModelConfig,
     NonlinearitySpec,
     PenalizationSpec,
@@ -30,7 +30,6 @@ from frns.solver import (
     decay_fit,
     default_init,
     dist_to_wells,
-    estimate_s_star,
     gaussian_bump,
     grid_for_eps,
     ground_state,
