@@ -264,6 +264,14 @@ def write_csv(path, header, rows, cfg_hash):
             f.write(line % tuple(row))
 
 
+def _exactly_even(rows) -> bool:
+    """Whether each row's value at index i is bit for bit that at n - i."""
+    import numpy as np
+
+    bits = np.ascontiguousarray(rows, dtype=float).view(np.uint64)
+    return bool(np.array_equal(bits[:, 1:], bits[:, :0:-1]))
+
+
 def write_field_csv(path, grid, values, cfg_hash):
     """`write_csv` of the rows (coordinates..., value), one per grid point
     in row-major order, byte for byte.
@@ -271,15 +279,29 @@ def write_field_csv(path, grid, values, cfg_hash):
     Each axis value is formatted once (format(v, ".17g") is the text of
     "%.17g" % v), and each grid row (the points along the last axis) is
     one %-template of that text, filled with the row's values in one call.
+    A field exactly even along the last axis about the grid centre (the
+    value at index i bit for bit that at n - i) has m = n/2 + 1 distinct
+    values per row: all of those are formatted in one call and each
+    row's text is mirrored.
     """
+    n = grid.points_per_dim
+    rows = values.reshape(-1, n)
+    even = _exactly_even(rows)
+    m = n // 2 + 1 if even else n
+    cells = rows[:, :m].ravel().tolist()
+    if even:
+        cells = (("%.17g\n" * len(cells)) % tuple(cells)).split("\n")
     axis = [format(v, ".17g") for v in grid.axis().tolist()]
     prefixes = [a + "," for a in axis] if grid.n_dim == 2 else [""]
-    lines = [a + ",%.17g\r\n" for a in axis]
+    lines = [a + (",%s\r\n" if even else ",%.17g\r\n") for a in axis]
     header = ",".join(("x", "y")[: grid.n_dim] + ("u",))
     with open(path, "w", encoding="utf-8", newline="") as f:
         f.write(f"# config-hash: {cfg_hash}\r\n{header}\r\n")
-        for prefix, row in zip(prefixes, values.reshape(-1, grid.points_per_dim)):
-            f.write((prefix + prefix.join(lines)) % tuple(row.tolist()))
+        for r, prefix in enumerate(prefixes):
+            row = cells[r * m:(r + 1) * m]
+            if even:
+                row += row[-2:0:-1]
+            f.write((prefix + prefix.join(lines)) % tuple(row))
 
 
 def write_manifest(out_dir, cfg_hash, seed, outputs, **extra):
@@ -517,8 +539,10 @@ def cmd_solve(args) -> int:
               "r = |x - argmax|", "log10 shell max of u")
     outputs.append(svg_path)
 
-    outputs.append(write_manifest(args.out, cfg_hash, args.seed, outputs,
-                                  wells_descended=list(res.wells_descended)))
+    outputs.append(write_manifest(
+        args.out, cfg_hash, args.seed, outputs, wells_descended=list(res.wells_descended),
+        even_axes=[list(axes) for axes, _ in res.descents],
+        full_grid_continued=[continued for _, continued in res.descents]))
     status = "converged" if res.converged else "NOT CONVERGED"
     print(f"{status}: energy {res.energy:.10g}, c_star {report['c_star']:.10g}, "
           f"iterations {res.iterations}")
@@ -527,7 +551,7 @@ def cmd_solve(args) -> int:
 
 def cmd_sweep(args) -> int:
     from .operator import Grid
-    from .solver import AutonomousConfig, autonomous_ground_state, concentration_sweep
+    from .solver import AutonomousConfig, autonomous_ground_state, concentration_sweep, grid_for_eps
 
     raw = load_config(args.config)
     cfg, settings = build_config(raw)
@@ -542,6 +566,8 @@ def cmd_sweep(args) -> int:
     if args.jobs < 0:
         print("--jobs must be 0 (one per core) or positive", file=sys.stderr)
         return EXIT_INVALID
+    for eps in eps_list:  # a box that is no grid is invalid input, not a failed row
+        grid_for_eps(cfg, eps, settings.sweep_points_per_dim)
     os.makedirs(args.out, exist_ok=True)
 
     # eps-independent reference level d at constant potential -V0

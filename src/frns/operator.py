@@ -4,7 +4,7 @@ The box [-L, L)^N stands in for R^N: decaying functions are truncated
 periodically and the operator acts mode by mode through the symbol
 (|k|^2 + m^2)^s.  This is the program's one Fourier layer: fields are
 real, so every spectral multiplier (`spectral_multiply`) and quadratic
-form (`spectral_sum`) runs on real FFTs with its weight on the half
+form (`KernelTable.form`) runs on real FFTs with its weight on the half
 spectrum, whose last axis keeps the modes 0..n/2; a spectrum taken once
 (`half_spectrum`) serves any number of multipliers.  A field even in every
 axis about the grid centre is also transformed from its even block alone
@@ -15,11 +15,12 @@ only) as an independent cross-check of the spectral path, and the
 resolvent / Bessel-kernel pair gives the Green-function view.
 """
 
-from dataclasses import dataclass, field
-from math import gamma as Gamma
+from dataclasses import dataclass, field, replace
+from functools import cached_property
+from math import gamma as Gamma, prod
 
 import numpy as np
-from numpy.fft import irfftn, rfft, rfftn
+from numpy.fft import irfft, irfftn, rfft, rfftn
 
 from .params import DomainError, FracParams
 from .specfun import (bessel_k, half_line_rule, kernel_constants, sigma_s,
@@ -113,15 +114,40 @@ class Grid:
         n, N = self.points_per_dim, self.n_dim
         x = self.spacing * np.arange(n // 2 + 1)
         k = self.half_wavenumbers()[-1]
-        mult = np.full(n // 2 + 1, 2.0)
-        mult[[0, -1]] = 1.0
-        r2, k2, weight = 0.0, 0.0, 1.0
+        r2, k2 = 0.0, 0.0
         for j in range(N):
             shape = (-1,) + (1,) * (N - 1 - j)
             r2 = r2 + (x * x).reshape(shape)
             k2 = k2 + (k * k).reshape(shape)
-            weight = weight * mult.reshape(shape)
-        return r2, k2, weight
+        return r2, k2, self.multiplicity(range(N))
+
+    def multiplicity(self, axes):
+        """The product over `axes` of 1, 2, ..., 2, 1 (n/2 + 1 entries)
+        along each, broadcasting to a block even along them (1.0 for no
+        axes): the full-grid samples, or modes, each entry stands for."""
+        n, N = self.points_per_dim, self.n_dim
+        mult = np.full(n // 2 + 1, 2.0)
+        mult[[0, -1]] = 1.0
+        weight = 1.0
+        for j in axes:
+            weight = weight * mult.reshape((-1,) + (1,) * (N - 1 - j))
+        return weight
+
+    def block(self, values, axes):
+        """The block of a field even along `axes` about the grid centre:
+        its samples at indices n/2..n (read mod n) along each of them."""
+        n = self.points_per_dim
+        for ax in axes:
+            values = np.take(values, np.arange(n // 2, n + 1) % n, axis=ax)
+        return values
+
+    def unfold(self, block, axes):
+        """The full-grid field even along `axes` whose `block` is given:
+        index i holds block entry |i - n/2| along each of them."""
+        n = self.points_per_dim
+        for ax in axes:
+            block = np.take(block, np.abs(np.arange(n) - n // 2), axis=ax)
+        return block
 
 
 @dataclass(frozen=True)
@@ -161,18 +187,42 @@ class KernelTable:
     """Precomputed symbol (|k|^2 + m^2)^s on the half spectrum.
 
     `symbol` has the shape of rfftn of a field on `grid`: the full
-    lattice on every axis but the last, which holds n/2 + 1 modes.
+    lattice on every axis but the last, which holds n/2 + 1 modes.  A
+    table from `even_block` holds it on the spectrum of the block of its
+    `even_axes` instead.
     """
 
     grid: Grid
     params: FracParams
     symbol: np.ndarray = field(repr=False)
+    even_axes: tuple = ()
 
     def form(self, vhat) -> float:
-        """<Av, v> = h^N/n^N sum_k symbol |v_hat|^2 from the half spectrum
-        vhat = `half_spectrum`(v) of raw samples on `grid` (`spectral_sum`)."""
+        """<Av, v> = h^N/n^N sum_k symbol |v_hat|^2 over the full spectrum,
+        from vhat = `half_spectrum`(v, even_axes) of raw samples on `grid`
+        or on their block.  On an axis that keeps the modes 0..n/2, each
+        mode but 0 and n/2 stands for itself and its mirror -k, whose
+        |v_hat|^2 and symbol are the same (`Grid.multiplicity`)."""
+        v = np.ascontiguousarray(vhat)
+        if np.iscomplexobj(v):
+            v = v.view(np.float64)  # real and imaginary parts side by side
+        return float(np.sum(self._form_weight * (v * v)))
+
+    @cached_property
+    def _form_weight(self) -> np.ndarray:
         g = self.grid
-        return float(g.spacing**g.n_dim / g.total_points * spectral_sum(self.symbol, vhat))
+        halved = (0, 1) if self.even_axes and g.n_dim == 2 else (g.n_dim - 1,)
+        w = g.spacing**g.n_dim / g.total_points * self.symbol * g.multiplicity(halved)
+        return np.repeat(w, 2, axis=-1) if len(self.even_axes) < g.n_dim else w
+
+    def even_block(self, axes) -> "KernelTable":
+        """The table of fields even along `axes`, held as their block
+        (`Grid.block`), whose `half_spectrum` keeps the modes 0..n/2 on
+        each even axis and on the last of the others: in 2D on both."""
+        symbol = self.symbol
+        if axes and self.grid.n_dim == 2:
+            symbol = symbol[: self.grid.points_per_dim // 2 + 1]
+        return replace(self, symbol=symbol, even_axes=tuple(axes))
 
 
 def build_symbol(grid: Grid, params: FracParams) -> KernelTable:
@@ -193,26 +243,44 @@ def apply_operator(u: Field, table: KernelTable) -> Field:
     return Field(grid=u.grid, values=spectral_multiply(table.symbol, u.values))
 
 
-def half_spectrum(values):
+def half_spectrum(values, even_axes=()):
     """rfftn(values): the half spectrum of real samples, to take once
-    and weight many times (`from_half_spectrum`, `spectral_sum`)."""
-    return rfftn(values)
+    and weight many times (`from_half_spectrum`, `KernelTable.form`).  On the
+    block of a field even along `even_axes` (`Grid.block`), those axes
+    take the real DFT of `even_block_spectrum`, and rfftn the others."""
+    rest = [ax for ax in range(values.ndim) if ax not in even_axes]
+    out = even_block_spectrum(values, even_axes)
+    if len(rest) == 1:  # rfft alone skips rfftn's per-call argument handling
+        return rfft(out, axis=rest[0])
+    return rfftn(out, axes=rest) if rest else out
 
 
-def from_half_spectrum(weight, vhat, shape):
+def from_half_spectrum(weight, vhat, shape, even_axes=()):
     """irfftn(weight * vhat) onto the real grid `shape`, `weight` given on
-    the half spectrum.
+    the half spectrum; with `even_axes`, onto the block of that shape
+    (`half_spectrum`), where the inverse real DFT of an even spectrum is
+    its forward one over n (`even_block_spectrum`).
 
     irfftn reads a Hermitian spectrum, so weight(-k) = conj(weight(k)) must
     hold, where each axis's Nyquist mode is its own mirror: real even
     weights qualify, a derivative i k_j only once zeroed at that mode.
     """
-    return irfftn(weight * vhat, s=shape, axes=range(len(shape)))
+    rest = [ax for ax in range(len(shape)) if ax not in even_axes]
+    out = weight * vhat
+    if len(rest) == 1:
+        out = irfft(out, shape[rest[0]], axis=rest[0])
+    elif rest:
+        out = irfftn(out, s=[shape[ax] for ax in rest], axes=rest)
+    if even_axes:
+        out = even_block_spectrum(out, even_axes) / prod(
+            2 * (shape[ax] - 1) for ax in even_axes)
+    return out
 
 
-def even_block_spectrum(block):
-    """The real DFT, on the even block, of a field even in every axis about
-    the grid centre, from its samples on the block (`Grid.even_block`).
+def even_block_spectrum(block, axes=None):
+    """The real DFT, on the even block, of a field even about the grid
+    centre along `axes` (default every axis), from its samples on the
+    block (`Grid.even_block`, `Grid.block`).
 
     Per axis the block is mirrored to the full length n (the cosine, or
     DCT-I, form of the DFT of an even sequence) and one rfft keeps the
@@ -221,7 +289,7 @@ def even_block_spectrum(block):
     (-1)^(k_1 + ... + k_N): |v_hat|^2 and every even weight agree.
     """
     out = block
-    for ax in range(block.ndim):
+    for ax in range(block.ndim) if axes is None else axes:
         interior = (slice(None),) * ax + (slice(-2, 0, -1),)  # indices n/2-1..1
         out = rfft(np.concatenate((out, out[interior]), axis=ax), axis=ax).real
     return out
@@ -298,22 +366,10 @@ def estimate_s_star(frac: FracParams) -> dict:
     }
 
 
-def spectral_multiply(weight, values):
-    """irfftn(weight * rfftn(values)) (`from_half_spectrum`)."""
-    return from_half_spectrum(weight, rfftn(values), values.shape)
-
-
-def spectral_sum(weight, vhat):
-    """sum_k weight(k) |v_hat(k)|^2 over the full spectrum, from the half
-    spectrum vhat = `half_spectrum`(v).
-
-    `weight` is even in k and given on the half spectrum; the sum runs
-    over it with the modes 1..n/2 - 1 of the last axis standing for
-    themselves and their conjugates (weight 2), the modes 0 and n/2
-    only for themselves (weight 1).
-    """
-    spec = weight * (vhat.real**2 + vhat.imag**2)
-    return 2.0 * np.sum(spec) - np.sum(spec[..., 0]) - np.sum(spec[..., -1])
+def spectral_multiply(weight, values, even_axes=()):
+    """irfftn(weight * rfftn(values)), of a field or of its block even
+    along `even_axes` (`half_spectrum`, `from_half_spectrum`)."""
+    return from_half_spectrum(weight, half_spectrum(values, even_axes), values.shape, even_axes)
 
 
 def operator_quadratic_form(u: Field, table: KernelTable) -> float:

@@ -55,6 +55,7 @@ class SolveResult:
     iterations: int
     converged: bool
     wells_descended: tuple = ()  # indices into M_points of the starts taken
+    descents: tuple = ()  # per start: (even axes, continued on the full grid)
 
 
 @dataclass(frozen=True)
@@ -82,7 +83,9 @@ class NehariProblem:
     with gradient J'(u) = A u + V u - g(x, u).  The penalized and the
     autonomous problem differ only in V and in the nonlinearity g (with
     primitive G); build them with `penalized` and `autonomous`.  Every
-    method takes raw sample values on `grid`.
+    method takes raw sample values on `grid`, or on the block of
+    `even_block`, where each sum over the grid weights a sample by the
+    full-grid samples it stands for (`weight`).
 
     Both use the power model g(x, t) = lam t^(p-1) + t^(2*_s - 1) for
     t > 0, replaced by slope * t outside `in_lambda` where t >= a; the
@@ -94,7 +97,8 @@ class NehariProblem:
     table: KernelTable
     V: np.ndarray               # potential values on the grid
     in_lambda: np.ndarray       # where the untruncated nonlinearity acts
-    g: Callable                 # t -> g(x, t) on the grid
+    weight: np.ndarray          # full-grid samples each value stands for
+    g: Callable                 # (in_lambda, t) -> g(x, t) at those points
     G: Callable                 # its primitive in t
     lam: float
     p: float
@@ -111,8 +115,9 @@ class NehariProblem:
             table=build_symbol(grid, config.frac),
             V=np.broadcast_to(potential_on_grid(config, grid), grid.shape),
             in_lambda=mask,
-            g=lambda t: g_eval(config, mask, t),
-            G=lambda t: G_eval(config, mask, t),
+            weight=np.ones(grid.shape),
+            g=lambda in_lambda, t: g_eval(config, in_lambda, t),
+            G=lambda in_lambda, t: G_eval(config, in_lambda, t),
             lam=config.nonlin.lam,
             p=config.nonlin.p,
             two_star=config.two_star,
@@ -125,11 +130,11 @@ class NehariProblem:
         """Constant potential mu and the untruncated f(t) + (t+)^(2*_s - 1)."""
         nl, two_star = config.nonlin, config.frac.two_star
 
-        def g(t):
+        def g(in_lambda, t):
             tp = np.maximum(np.asarray(t, dtype=float), 0.0)
             return nl.f(tp) + tp ** (two_star - 1.0)
 
-        def G(t):
+        def G(in_lambda, t):
             tp = np.maximum(np.asarray(t, dtype=float), 0.0)
             return nl.F(tp) + tp**two_star / two_star
 
@@ -138,6 +143,7 @@ class NehariProblem:
             table=build_symbol(grid, config.frac),
             V=np.full(grid.shape, config.mu),
             in_lambda=np.ones(grid.shape, dtype=bool),
+            weight=np.ones(grid.shape),
             g=g,
             G=G,
             lam=nl.lam,
@@ -145,30 +151,45 @@ class NehariProblem:
             two_star=two_star,
         )
 
+    def even_block(self, axes) -> "NehariProblem":
+        """This problem on fields even along `axes` about the grid centre,
+        held as their block (`Grid.block`, `KernelTable.even_block`)."""
+        g = self.grid
+        V = g.block(self.V, axes)
+        return replace(self, table=self.table.even_block(axes), V=V,
+                       in_lambda=g.block(self.in_lambda, axes),
+                       weight=np.broadcast_to(g.multiplicity(axes), V.shape).copy())
+
     @property
     def cell_volume(self) -> float:
         return self.grid.spacing**self.grid.n_dim
+
+    def inner(self, a, b) -> float:
+        """sum a b over the full grid, without the factor h^N."""
+        return float(np.vdot(self.weight * a, b))
 
     def quadratic(self, u_vals, vhat=None) -> float:
         """||u||^2 = <Au, u> + sum V u^2 h^N; one forward FFT unless the
         half spectrum vhat of u is passed."""
         if vhat is None:
-            vhat = half_spectrum(u_vals)
-        return self.table.form(vhat) + self.cell_volume * float(np.sum(self.V * u_vals**2))
+            vhat = half_spectrum(u_vals, self.table.even_axes)
+        return self.table.form(vhat) + self.cell_volume * float(
+            np.sum(self.weight * self.V * u_vals**2))
 
     def energy(self, u_vals, quad=None, t=1.0) -> float:
         """J(t u); pass quad = ||u||^2 when known to skip its FFT."""
         if quad is None:
             quad = self.quadratic(u_vals)
-        return 0.5 * t * t * quad - self.cell_volume * float(np.sum(self.G(t * u_vals)))
+        G_sum = float(np.sum(self.weight * self.G(self.in_lambda, t * u_vals)))
+        return 0.5 * t * t * quad - self.cell_volume * G_sum
 
     def gradient(self, u_vals, vhat=None) -> np.ndarray:
         """L^2 gradient J'(u) = A u + V u - g(x, u); pass the half
         spectrum vhat of u when known to skip its forward FFT."""
         if vhat is None:
-            vhat = half_spectrum(u_vals)
-        Au = from_half_spectrum(self.table.symbol, vhat, u_vals.shape)
-        return Au + self.V * u_vals - self.g(u_vals)
+            vhat = half_spectrum(u_vals, self.table.even_axes)
+        Au = from_half_spectrum(self.table.symbol, vhat, u_vals.shape, self.table.even_axes)
+        return Au + self.V * u_vals - self.g(self.in_lambda, u_vals)
 
     def nehari_scale(self, u_vals) -> tuple:
         """(t, J(t u)) for the unique t > 0 with <J'(t u), t u> = 0
@@ -178,8 +199,8 @@ class NehariProblem:
     def nehari_residual(self, u_vals) -> float:
         """|<J'(u), u>| / ||u||^2."""
         quad = self.quadratic(u_vals)
-        pairing = quad - self.cell_volume * float(np.sum(self.g(u_vals) * u_vals))
-        return abs(pairing) / abs(quad)
+        g_sum = float(np.sum(self.weight * self.g(self.in_lambda, u_vals) * u_vals))
+        return abs(quad - self.cell_volume * g_sum) / abs(quad)
 
 
 class NehariMoments:
@@ -192,28 +213,33 @@ class NehariMoments:
     sorting, with prefix sums, once some t makes the truncated branch
     act (t * max(u outside) >= a); the linear set is then a tail of the
     sorted values, found by one searchsorted at a/t.  Values u <= 0
-    contribute nothing, as g and G vanish there.  The half spectrum of
-    u behind ||u||^2 is kept (`vhat`): scaled by t it is that of t u.
+    contribute nothing, as g and G vanish there.  Every sum, count and
+    prefix sum weights a value by the problem's `weight`.  The half
+    spectrum of u behind ||u||^2 is kept (`vhat`): scaled by t it is
+    that of t u.
     """
 
     def __init__(self, problem: NehariProblem, u_vals):
         # only u > 0 enters; leaving out the zeros also skips the slow
         # path that pow takes for 0.0 ** p
         pos = u_vals > 0.0
-        inside = u_vals[np.logical_and(pos, problem.in_lambda)]
+        sel = np.logical_and(pos, problem.in_lambda)
+        inside = u_vals[sel]
         if inside.size == 0:
             raise NoPositivePartError(
                 "field has no positive part inside the well region; no Nehari scale"
             )
         self.problem = problem
-        self.vhat = half_spectrum(u_vals)
+        self.vhat = half_spectrum(u_vals, problem.table.even_axes)
         self.quad = problem.quadratic(u_vals, self.vhat)
         p, two_star = problem.p, problem.two_star
-        self.outside = u_vals[np.logical_and(pos, np.logical_not(problem.in_lambda))]
-        self.sum_p_in = float(np.sum(inside**p))
-        self.sum_s_in = float(np.sum(inside**two_star))
-        self.sum_p = self.sum_p_in + float(np.sum(self.outside**p))
-        self.sum_s = self.sum_s_in + float(np.sum(self.outside**two_star))
+        w_in = problem.weight[sel]
+        sel = np.logical_and(pos, np.logical_not(problem.in_lambda))
+        self.outside, self.w_out = u_vals[sel], problem.weight[sel]
+        self.sum_p_in = float(np.sum(w_in * inside**p))
+        self.sum_s_in = float(np.sum(w_in * inside**two_star))
+        self.sum_p = self.sum_p_in + float(np.sum(self.w_out * self.outside**p))
+        self.sum_s = self.sum_s_in + float(np.sum(self.w_out * self.outside**two_star))
         self.max_out = float(np.max(self.outside, initial=0.0))
         self._sorted = None
 
@@ -249,18 +275,20 @@ class NehariMoments:
         if t * self.max_out < pr.a:
             return self.sum_p, self.sum_s, 0.0, 0
         if self._sorted is None:
-            w = np.sort(self.outside)
+            order = np.argsort(self.outside)
+            w, mult = self.outside[order], self.w_out[order]
             zero = np.zeros(1)
             self._sorted = (
                 w,
-                np.concatenate((zero, np.cumsum(w**pr.p))),
-                np.concatenate((zero, np.cumsum(w**pr.two_star))),
-                np.concatenate((np.cumsum((w * w)[::-1])[::-1], zero)),
+                np.concatenate((zero, np.cumsum(mult * w**pr.p))),
+                np.concatenate((zero, np.cumsum(mult * w**pr.two_star))),
+                np.concatenate((np.cumsum((mult * w * w)[::-1])[::-1], zero)),
+                np.concatenate((np.cumsum(mult[::-1])[::-1], zero)),
             )
-        w, cum_p, cum_s, tail_2 = self._sorted
+        w, cum_p, cum_s, tail_2, tail_n = self._sorted
         k = int(np.searchsorted(w, pr.a / t))
         return (self.sum_p_in + cum_p[k], self.sum_s_in + cum_s[k],
-                tail_2[k], w.size - k)
+                tail_2[k], tail_n[k])
 
     def mismatch(self, t) -> float:
         """<J'(t u), t u>/t^2 = ||u||^2 - sum g(x, t u) u h^N / t,
@@ -306,9 +334,15 @@ def _projected_gradient(u_vals, grad) -> tuple:
     return np.where(active, np.minimum(grad, 0.0), grad), active
 
 
-def _descent_direction(grad, pg, active, precond, prev=None) -> tuple:
+def _kkt_residual(u_vals, pg) -> float:
+    """max |pg| / max |u|, the convergence test of the descent."""
+    return float(np.max(np.abs(pg)) / max(np.max(np.abs(u_vals)), 1e-300))
+
+
+def _descent_direction(problem, grad, pg, active, precond, prev=None) -> tuple:
     """Preconditioned Polak-Ribiere+ direction (d, P pg, beta) on the
-    active set of `_projected_gradient`, with P the multiplier `precond`:
+    active set of `_projected_gradient`, with P the multiplier `precond`
+    and <,> the grid sum of `problem` (`NehariProblem.inner`):
 
         d = P pg + beta d_prev,
         beta = max(0, <pg - pg_prev, P pg> / <pg_prev, P pg_prev>),
@@ -320,14 +354,14 @@ def _descent_direction(grad, pg, active, precond, prev=None) -> tuple:
     and lift clipped points; d_prev is dropped there.  A d with
     <d, pg> <= 0 does not descend and falls back to beta = 0.
     """
-    ppg = spectral_multiply(precond, pg)
+    ppg = spectral_multiply(precond, pg, problem.table.even_axes)
     raw = active & (grad > 0.0)
     if prev is not None:
         pg_prev, ppg_prev, d_prev = prev
-        beta = float(np.vdot(pg - pg_prev, ppg)) / float(np.vdot(pg_prev, ppg_prev))
+        beta = problem.inner(pg - pg_prev, ppg) / problem.inner(pg_prev, ppg_prev)
         if beta > 0.0:
             d = np.where(raw, grad, ppg + beta * d_prev)
-            if float(np.vdot(d, pg)) > 0.0:
+            if problem.inner(d, pg) > 0.0:
                 return d, ppg, beta
     return np.where(raw, grad, ppg), ppg, 0.0
 
@@ -351,6 +385,33 @@ def _line_search(problem: NehariProblem, u, direction, E, step) -> Optional[tupl
 
 
 def _descend(problem: NehariProblem, init_vals: np.ndarray, tol: Tolerances):
+    """`_nehari_cg` from one start on the block of the axes whose
+    reflection leaves the start, V and the Lambda mask exactly unchanged
+    (`_even_axes`): every step keeps the field even along them (Palais'
+    symmetric criticality).  The unfolded result's KKT residual is taken
+    from one full-grid gradient; above tol.grad, which after a converged
+    block descent only faulty block arithmetic leaves, the descent goes
+    on over the full grid with the iterations left.
+
+    Returns (values, energy, iterations, converged, gradient at values,
+    (even axes, whether the full grid continued)).
+    """
+    axes = _even_axes(problem, init_vals)
+    block = problem.even_block(axes)
+    u, E, it, converged, grad = _nehari_cg(block, problem.grid.block(init_vals, axes), tol)
+    continued = False
+    if axes:
+        u = problem.grid.unfold(u, axes)
+        grad = problem.gradient(u)
+        continued = _kkt_residual(u, _projected_gradient(u, grad)[0]) > tol.grad
+        if continued:
+            left = replace(tol, max_iterations=max(tol.max_iterations - it, 0))
+            u, E, more, converged, grad = _nehari_cg(problem, u, left)
+            it += more
+    return u, E, it, converged, grad, (axes, continued)
+
+
+def _nehari_cg(problem: NehariProblem, init_vals: np.ndarray, tol: Tolerances):
     """Nehari-constrained projected Polak-Ribiere+ CG descent.
 
     The KKT residual of the cone (`_projected_gradient`) is the
@@ -389,13 +450,13 @@ def _descend(problem: NehariProblem, init_vals: np.ndarray, tol: Tolerances):
     converged = False
     for it in range(1, tol.max_iterations + 1):
         pg, active = _projected_gradient(u, grad)
-        if np.max(np.abs(pg)) / max(np.max(np.abs(u)), 1e-300) <= tol.grad:
+        if _kkt_residual(u, pg) <= tol.grad:
             converged = True
             break
-        direction, ppg, beta = _descent_direction(grad, pg, active, precond, prev)
+        direction, ppg, beta = _descent_direction(problem, grad, pg, active, precond, prev)
         found = _line_search(problem, u, direction, E, 1.5 * step)
         if found is None and beta > 0.0:
-            direction, ppg, beta = _descent_direction(grad, pg, active, precond)
+            direction, ppg, beta = _descent_direction(problem, grad, pg, active, precond)
             found = _line_search(problem, u, direction, E, 1.5 * step)
         if found is None:
             break
@@ -405,22 +466,23 @@ def _descend(problem: NehariProblem, init_vals: np.ndarray, tol: Tolerances):
     return u, E, it, converged, grad
 
 
-def _package_result(problem: NehariProblem, u_vals, E, iterations, converged, grad) -> SolveResult:
+def _package_result(problem: NehariProblem, u_vals, E, iterations, converged, grad,
+                    descents=()) -> SolveResult:
     g = problem.grid
     idx = np.unravel_index(int(np.argmax(u_vals)), g.shape)
     axis = g.axis()
     point = tuple(float(axis[i]) for i in idx)
-    pg, _ = _projected_gradient(u_vals, grad)
     return SolveResult(
         field=Field(grid=g, values=u_vals),
         energy=float(E),
         nehari_residual=problem.nehari_residual(u_vals),
-        grad_residual=float(np.max(np.abs(pg)) / max(np.max(np.abs(u_vals)), 1e-300)),
+        grad_residual=_kkt_residual(u_vals, _projected_gradient(u_vals, grad)[0]),
         argmax_point=point,
         argmax_index=tuple(int(i) for i in idx),
         sup_norm=float(np.max(u_vals)),
         iterations=iterations,
         converged=converged,
+        descents=descents,
     )
 
 
@@ -452,8 +514,10 @@ def ground_state(
     so it starts once at each minimum of V in M_points order
     (`default_init`), or once at `init` when given; `_best_descent`
     picks the run.  A well that a grid symmetry of V and Lambda maps
-    onto an earlier well shares its descent (`_distinct_wells`).
+    onto an earlier well shares its descent (`_distinct_wells`).  Every
+    well must lie in the box (`check_wells_in_box`).
     """
+    check_wells_in_box(config, grid)
     problem = NehariProblem.penalized(config, grid)
     if init is not None:
         return _best_descent(problem, [init], tolerances)
@@ -462,11 +526,37 @@ def ground_state(
     return replace(result, wells_descended=tuple(wells))
 
 
+def check_wells_in_box(config: ModelConfig, grid: Grid):
+    """Raise a DomainError naming the first well whose blow-up M_j / eps
+    lies outside the box of `grid`, before its squared distances to the
+    grid points can overflow."""
+    L = grid.half_length
+    for j, point in enumerate(config.potential.M_points):
+        blown_up = tuple(c / config.eps for c in point)
+        if not all(abs(c) <= L for c in blown_up):
+            raise DomainError(
+                f"well {j} at {point} lies at {blown_up} after the blow-up x = M/eps "
+                f"(eps = {config.eps}), outside the box [-{L}, {L}]^{grid.n_dim}")
+
+
 def _reflect(a: np.ndarray, axes) -> np.ndarray:
     """a(x) -> a(-x) along `axes` on the periodic grid: index i -> (n - i) mod n."""
     for ax in axes:
         a = np.roll(np.flip(a, ax), 1, ax)
     return a
+
+
+def _fixed(arrays, flipped, perm) -> bool:
+    """Whether x_i -> sign_i x_perm[i], with sign -1 on the axes
+    `flipped`, leaves every one of `arrays` exactly unchanged."""
+    return all(np.array_equal(np.transpose(_reflect(a, flipped), perm), a) for a in arrays)
+
+
+def _even_axes(problem: NehariProblem, start) -> tuple:
+    """The axes whose reflection leaves `start`, V and the Lambda mask
+    exactly unchanged, as in `_distinct_wells`."""
+    arrays, n = (start, problem.V, problem.in_lambda), problem.grid.n_dim
+    return tuple(ax for ax in range(n) if _fixed(arrays, [ax], range(n)))
 
 
 def _distinct_wells(problem: NehariProblem, points) -> list:
@@ -484,8 +574,7 @@ def _distinct_wells(problem: NehariProblem, points) -> list:
     syms = []
     for perm, signs in product(permutations(range(n)), product((1.0, -1.0), repeat=n)):
         flipped = [ax for ax in range(n) if signs[ax] < 0.0]
-        if all(np.array_equal(np.transpose(_reflect(a, flipped), perm), a)
-               for a in (problem.V, problem.in_lambda)):
+        if _fixed((problem.V, problem.in_lambda), flipped, perm):
             syms.append((perm, signs))
     kept = []
     for k, pt in enumerate(points):
@@ -515,16 +604,18 @@ def _best_descent(problem, starts, tolerances) -> SolveResult:
     A converged run beats an unconverged one.  A later start replaces
     the best only when its level is lower by more than 1e-10 relative,
     so the earliest start keeps a round-off tie: the levels of mirror
-    wells differ by a few ulp either way.
+    wells differ by a few ulp either way.  The result lists each start's
+    (even axes, continued on the full grid) in `descents`.
     """
-    best = None
+    best, descents = None, []
     for start in starts:
         run = _descend(problem, start, tolerances)  # (u, E, iterations, converged, ...)
         E, conv = run[1], run[3]
+        descents.append(run[5])
         if (best is None or (conv and not best[3])
                 or (conv == best[3] and E < best[1] - 1e-10 * abs(best[1]))):
             best = run
-    return _package_result(problem, *best)
+    return _package_result(problem, *best[:5], descents=tuple(descents))
 
 
 # ---------------------------------------------------------------------------

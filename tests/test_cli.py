@@ -290,10 +290,14 @@ class TestExitCodes:
         assert err.count("\n") == 1
 
     def test_solve_with_empty_start_is_a_numerical_failure(self, tmp_path, capsys):
-        # at eps = 0.01 the well sits at x = -100, so on [-5, 5)^2 the
-        # starting bump underflows to zero and has no Nehari scale
-        text = open(CFG_2D).read().replace("eps = 0.25", "eps = 0.01")
-        p = write_cfg(tmp_path, text + "grid.half_length = 5\n")
+        # Lambda_eps of radius 0.04 about the one well, at (-4, 0), holds
+        # no point of the 128^2 grid (h = 0.28125), so the start has no
+        # positive part inside it and no Nehari scale
+        text = open(CFG_2D).read().replace(
+            "potential.lambda_radius = 2.5", "potential.lambda_radius = 0.01")
+        text = text.replace("potential.lambda_center = 0 0", "potential.lambda_center = -1 0")
+        text = text.replace("potential.M_points = -1 0; 1 0", "potential.M_points = -1 0")
+        p = write_cfg(tmp_path, text + "grid.half_length = 18\n")
         assert main(["validate", "--config", p]) == EXIT_PASS
         code = main(["solve", "--config", p, "--out", str(tmp_path / "o")])
         assert code == EXIT_NUMERICAL
@@ -301,6 +305,34 @@ class TestExitCodes:
         assert err.startswith("numerical failure:")
         assert "Traceback" not in err
         assert err.count("\n") == 1
+
+    @pytest.mark.parametrize("command, well, center, eps", [
+        # the well (-1, 0) at eps = 0.01 sits at x = -100, outside [-5, 5]^2
+        ("solve", "-1 0", "0 0", "0.01"),
+        # (1e200, 0) sits at 4e200, whose squared distances overflow on
+        # the grid; the sweep's boxes, which hold Lambda/eps, are not finite
+        ("solve", "1e200 0", "1e200 0", "0.25"),
+        ("sweep", "1e200 0", "1e200 0", "0.25"),
+    ])
+    def test_well_outside_the_box_is_invalid(self, tmp_path, capsys, command, well, center, eps):
+        # no array is built: no overflow warning, no output, exit 2
+        text = open(CFG_2D).read().replace("potential.M_points = -1 0; 1 0",
+                                           f"potential.M_points = {well}")
+        text = text.replace("potential.lambda_center = 0 0", f"potential.lambda_center = {center}")
+        p = write_cfg(tmp_path, text.replace("eps = 0.25", f"eps = {eps}")
+                      + "grid.half_length = 5\n")
+        assert main(["validate", "--config", p]) == EXIT_PASS
+        capsys.readouterr()
+        out = tmp_path / "o"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = main([command, "--config", p, "--out", str(out)])
+        err = capsys.readouterr().err
+        assert code == EXIT_INVALID
+        assert err.startswith("invalid parameters:") and err.count("\n") == 1
+        if command == "solve":
+            assert "well 0 at" in err and "outside the box [-5.0, 5.0]^2" in err
+        assert not (out / "manifest.json").exists()
 
     def test_unconverged_solve_is_a_numerical_failure(self, tmp_path, capsys):
         # grad_tol = 1e-16 is out of reach: the descent ends unconverged
@@ -358,18 +390,33 @@ class TestWriteCsv:
         assert path.read_bytes() == b"# config-hash: abc\r\nx,u\r\n"
 
     @pytest.mark.parametrize("n_dim", [1, 2])
-    def test_field_csv_matches_row_writer(self, tmp_path, n_dim):
+    def test_field_csv_matches_row_writer(self, tmp_path, monkeypatch, n_dim):
         # solution.csv's writer gives the bytes of write_csv on the rows
-        # (coordinates..., u) of every grid point in row-major order
+        # (coordinates..., u) of every grid point in row-major order: on
+        # a random field and on one even along its last axis about the
+        # grid centre (index i bit for bit index n - i), which takes the
+        # mirrored text; one ulp off even, or a signed zero facing an
+        # unsigned one, takes the general path
         grid = Grid(n_dim, 32, 3.7)
         rng = np.random.default_rng(n_dim)
         u = rng.standard_normal(grid.shape) * 10.0 ** rng.integers(-300, 300, grid.shape)
         u.flat[:4] = (0.0, -0.0, 5e-324, 0.1)
-        rows = zip(*(c.ravel() for c in grid.coords()), u.ravel())
+        half = u[..., 15:].copy()  # 17 values per row
+        half[..., :6] = (0.0, -0.0, 5e-324, 1e300, 1e-300, -1e300)
+        even = grid.unfold(half, [n_dim - 1])
+        off = even.copy()
+        off[..., 3] = np.nextafter(off[..., 3], np.inf)
+        zeros = even.copy()
+        zeros[..., 1], zeros[..., 31] = -0.0, 0.0
         header = ("x", "y")[:n_dim] + ("u",)
-        cli.write_csv(tmp_path / "rows.csv", header, rows, "abc")
-        cli.write_field_csv(tmp_path / "field.csv", grid, u, "abc")
-        assert (tmp_path / "field.csv").read_bytes() == (tmp_path / "rows.csv").read_bytes()
+        taken, real = [], cli._exactly_even
+        monkeypatch.setattr(cli, "_exactly_even", lambda rows: taken.append(real(rows)) or taken[-1])
+        for field in (u, even, off, zeros):
+            rows = zip(*(c.ravel() for c in grid.coords()), field.ravel())
+            cli.write_csv(tmp_path / "rows.csv", header, rows, "abc")
+            cli.write_field_csv(tmp_path / "field.csv", grid, field, "abc")
+            assert (tmp_path / "field.csv").read_bytes() == (tmp_path / "rows.csv").read_bytes()
+        assert taken == [False, True, False, False]
 
 
 class TestKernels:
@@ -422,10 +469,14 @@ class TestSolve:
         _, out = solve_out
         with open(os.path.join(out, "manifest.json")) as f:
             man = json.load(f)
-        assert set(man) == {"config_hash", "seed", "version", "outputs", "wells_descended"}
+        assert set(man) == {"config_hash", "seed", "version", "outputs", "wells_descended",
+                            "even_axes", "full_grid_continued"}
         assert man["seed"] == 0
-        # the mirror well (1, 0) shares the descent from (-1, 0)
+        # the mirror well (1, 0) shares the descent from (-1, 0), which
+        # runs on the block even in y and needs no full-grid continuation
         assert man["wells_descended"] == [0]
+        assert man["even_axes"] == [[1]]
+        assert man["full_grid_continued"] == [False]
         assert len(man["config_hash"]) == 64
 
     def test_determinism_bit_identical(self, solve_out, tmp_path):

@@ -17,12 +17,12 @@ from frns.operator import (
     bessel_kernel,
     build_symbol,
     even_block_spectrum,
+    from_half_spectrum,
     half_spectrum,
     inner,
     norm_l2,
     operator_quadratic_form,
     solve_resolvent,
-    spectral_sum,
 )
 
 
@@ -201,9 +201,11 @@ class TestEvenBlock:
         for seed in range(3):
             block, u = self.even_field(n_dim, 64, seed)
             G = even_block_spectrum(block)
-            vhat = half_spectrum(u)
-            for block_w, full_w in ((1.0, 1.0), (k2**s, grid.half_k_squared() ** s)):
-                full = spectral_sum(full_w, vhat)
+            power = np.abs(np.fft.fftn(u)) ** 2
+            k2_full = sum(k * k for k in np.meshgrid(
+                *(2.0 * np.pi * np.fft.fftfreq(64, d=grid.spacing),) * n_dim, indexing="ij"))
+            for block_w, full_w in ((1.0, 1.0), (k2**s, k2_full**s)):
+                full = float(np.sum(full_w * power))
                 assert float(np.sum(mult * block_w * G * G)) == pytest.approx(full, rel=1e-12)
             assert float(np.sum(mult * block)) == pytest.approx(float(np.sum(u)), rel=1e-12)
 
@@ -214,6 +216,52 @@ class TestEvenBlock:
         idx = np.abs(np.arange(64) - 32)  # block index 32 (x = L) stands for x = -L
         assert np.allclose(r2[np.ix_(*(idx,) * n_dim)], grid.radii() ** 2, rtol=1e-14, atol=0.0)
         assert float(np.sum(mult)) == grid.total_points
+
+
+class TestEvenAxes:
+    """A 2D field even along some axes about grid index n/2, held as its
+    block along those axes (`Grid.block`), against the field itself."""
+
+    GRID = Grid(2, 64, 7.0)
+
+    def even_field(self, axes, seed):
+        rng = np.random.default_rng(seed)
+        shape = tuple(33 if ax in axes else 64 for ax in range(2))
+        block = rng.standard_normal(shape)
+        u = self.GRID.unfold(block, axes)
+        assert np.array_equal(self.GRID.block(u, axes), block)
+        return block, u
+
+    @pytest.mark.parametrize("axes", [(0,), (1,), (0, 1)])
+    def test_spectrum_matches_rfftn_up_to_the_phase(self, axes):
+        block, u = self.even_field(axes, sum(axes) + len(axes))
+        full = np.fft.rfftn(u)[:33]  # modes 0..n/2 on the first axis too
+        # the DFT about index n/2: (-1)^k on each even axis
+        phase = np.ones((33, 33))
+        for ax in axes:
+            phase = phase * (-1.0) ** np.arange(33).reshape((-1,) + (1,) * (1 - ax))
+        vhat = half_spectrum(block, axes)
+        assert np.allclose(vhat, phase * full, rtol=0.0, atol=1e-12 * np.max(np.abs(full)))
+        if axes == (0, 1):
+            assert np.array_equal(vhat, even_block_spectrum(block))
+        # the inverse returns the block, and a multiplier acts as on u
+        assert np.allclose(from_half_spectrum(1.0, vhat, block.shape, axes), block,
+                           rtol=0.0, atol=1e-13)
+        weight = self.GRID.half_k_squared() ** 0.3
+        Au = from_half_spectrum(weight, half_spectrum(u), u.shape)
+        Ab = from_half_spectrum(weight[:33], vhat, block.shape, axes)
+        assert np.allclose(Ab, self.GRID.block(Au, axes), rtol=0.0, atol=1e-12)
+
+    @pytest.mark.parametrize("axes", [(0,), (1,), (0, 1)])
+    def test_block_table_form_matches_full_grid(self, axes):
+        table = build_symbol(self.GRID, FracParams(s=0.3, m=1.0, n_dim=2))
+        block, u = self.even_field(axes, 7)
+        vhat = half_spectrum(block, axes)
+        assert table.even_block(axes).form(vhat) == pytest.approx(
+            table.form(half_spectrum(u)), rel=1e-12)
+        mult = self.GRID.multiplicity(axes)
+        assert float(np.sum(mult * block)) == pytest.approx(float(np.sum(u)), rel=1e-12)
+        assert float(np.sum(mult * np.ones_like(block))) == self.GRID.total_points
 
 
 class TestResolvent:

@@ -1,6 +1,7 @@
 """Solver layer: Nehari scaling, constrained descent, levels, decay fit,
 trace-constant estimate and the concentration sweep helpers."""
 
+import os
 from dataclasses import replace
 
 import numpy as np
@@ -41,6 +42,8 @@ from frns.solver import (
 )
 
 
+CFG_1D = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
+                      "configs", "single_well_1d.cfg")
 FRAC = FracParams(s=0.5, m=1.0, n_dim=2)
 NL = NonlinearitySpec(lam=1.0, p=3.0, ar_theta=3.0, q=3.5)
 POT = PotentialSpec(
@@ -122,7 +125,7 @@ class TestNehariScale:
             moments = NehariMoments(problem, u)
             quad = problem.quadratic(u)
             for t in ts:
-                pointwise = quad - hN * float(np.sum(problem.g(t * u) * u)) / t
+                pointwise = quad - hN * float(np.sum(problem.g(problem.in_lambda, t * u) * u)) / t
                 assert moments.mismatch(t) == pytest.approx(pointwise, rel=1e-12)
                 assert moments.energy(t) == pytest.approx(
                     problem.energy(u, quad, t), rel=1e-12)
@@ -184,15 +187,45 @@ class TestGroundState:
         assert res2.energy == res.energy
         assert np.array_equal(res2.field.values, res.field.values)
 
-    def test_first_failed_line_search_ends_the_descent(self):
-        # no descent reaches grad = 1e-16; the 31st line search, along the
-        # steepest direction, rejects all 40 trial steps, and with u, the
-        # gradient and the direction unchanged another search could only
-        # retry smaller steps
+    def test_first_failed_line_search_ends_the_descent(self, monkeypatch):
+        import frns.solver as solver
+
+        # no descent reaches grad = 1e-16.  A line search along the
+        # steepest direction (beta = 0) that rejects all 40 trial steps
+        # leaves u, the gradient and the direction unchanged, so another
+        # search could only retry smaller steps: it ends the run.  The run
+        # on the block even in y ends so above tol.grad, and the descent
+        # continues on the full grid, whose run ends the same way
+        searches, runs = [], []
+        real_direction, real_search, real_cg = (
+            solver._descent_direction, solver._line_search, solver._nehari_cg)
+
+        def direction(*args):
+            out = real_direction(*args)
+            searches.append([out[2], None])
+            return out
+
+        def search(*args):
+            found = real_search(*args)
+            searches[-1][1] = found is None
+            return found
+
+        def cg(*args):
+            searches.clear()
+            out = real_cg(*args)
+            runs.append((out[2], [tuple(s) for s in searches]))
+            return out
+
+        monkeypatch.setattr(solver, "_descent_direction", direction)
+        monkeypatch.setattr(solver, "_line_search", search)
+        monkeypatch.setattr(solver, "_nehari_cg", cg)
         res = ground_state(default_config(), Grid(2, 64, 18.0),
                            tolerances=Tolerances(grad=1e-16))
-        assert not res.converged
-        assert res.iterations == 31
+        assert not res.converged and res.descents == (((1,), True),)
+        assert len(runs) == 2 and res.iterations == runs[0][0] + runs[1][0]
+        for _, run in runs:
+            failed_steepest = [i for i, (beta, failed) in enumerate(run) if failed and beta == 0.0]
+            assert failed_steepest == [len(run) - 1]
 
     def test_failed_cg_search_is_retried_along_the_steepest_direction(self, monkeypatch):
         import frns.solver as solver
@@ -229,16 +262,20 @@ class TestGroundState:
         # when it is lower by 1e-9 relative, not when it is 1 ulp lower
         # (a round-off tie keeps the earlier start)
         winner = 2.0 * (1.0 - 1e-9)
-        runs = iter([("a", 1.0, 5, False), ("b", 2.0, 6, True), ("c", winner, 7, True),
-                     ("d", np.nextafter(winner, 0.0), 8, True), ("e", 0.5, 9, False)])
+        runs = iter([("a", 1.0, 5, False, None, "A"), ("b", 2.0, 6, True, None, "B"),
+                     ("c", winner, 7, True, None, "C"),
+                     ("d", np.nextafter(winner, 0.0), 8, True, None, "D"),
+                     ("e", 0.5, 9, False, None, "E")])
         packaged = []
         monkeypatch.setattr(solver, "_descend", lambda problem, start, tol: next(runs))
         monkeypatch.setattr(solver, "_package_result",
-                            lambda problem, *best: packaged.append(best) or best)
+                            lambda problem, *best, descents: packaged.append(best) or descents)
         problem = NehariProblem.autonomous(
             AutonomousConfig(mu=0.0, frac=FRAC, nonlin=NL), Grid(2, 32, 4.0))
-        best = solver._best_descent(problem, [np.ones((32, 32))] * 5, None)
-        assert packaged == [best] == [("c", winner, 7, True)]
+        descents = solver._best_descent(problem, [np.ones((32, 32))] * 5, None)
+        # only the winner is packaged, with every start's record
+        assert packaged == [("c", winner, 7, True, None)]
+        assert descents == ("A", "B", "C", "D", "E")
 
     def test_start_at_each_well_finds_the_lower_basin(self):
         # the well at (-1.9, 0), near the edge of Lambda, has a higher
@@ -257,7 +294,12 @@ class TestGroundState:
 
 class TestOneActiveSet:
     """The step and the KKT residual split the grid into the same active
-    and free points; the CG direction restarts at P pg."""
+    and free points; the CG direction restarts at P pg.  The directions
+    are taken on the full grid, whose grid sums weight every point 1."""
+
+    @staticmethod
+    def full_grid_problem(grid):
+        return NehariProblem.autonomous(AutonomousConfig(mu=-0.2, frac=FRAC, nonlin=NL), grid)
 
     def test_step_uses_the_residual_active_set(self):
         import frns.solver as solver
@@ -282,9 +324,10 @@ class TestOneActiveSet:
         assert pg[between_pos] == 1.0 and pg[zero_pos] == 0.0
         # the first direction, and a CG one with beta = 2 > 0 (pg_prev =
         # pg / 2) whose d_prev = P pg keeps it a descent direction
-        first, _, _ = solver._descent_direction(grad, pg, active, precond)
+        problem = self.full_grid_problem(grid)
+        first, _, _ = solver._descent_direction(problem, grad, pg, active, precond)
         cg, _, beta = solver._descent_direction(
-            grad, pg, active, precond, (0.5 * pg, 0.5 * smooth, smooth))
+            problem, grad, pg, active, precond, (0.5 * pg, 0.5 * smooth, smooth))
         assert beta == pytest.approx(2.0, rel=1e-12)
         for direction, free in ((first, smooth), (cg, smooth + beta * smooth)):
             # free in the residual, free in the step: the preconditioned pg
@@ -316,8 +359,10 @@ class TestOneActiveSet:
             # Polak-Ribiere+: <pg - pg_prev, P pg> < 0 truncates beta to 0
             "negative_beta": (2.0 * pg, 2.0 * smooth, smooth),
         }
+        problem = self.full_grid_problem(grid)
         for name, prev in restarts.items():
-            direction, ppg, beta = solver._descent_direction(grad, pg, active, precond, prev)
+            direction, ppg, beta = solver._descent_direction(
+                problem, grad, pg, active, precond, prev)
             assert beta == 0.0, name
             assert np.array_equal(ppg, smooth), name
             assert np.array_equal(direction, steepest), name
@@ -394,6 +439,86 @@ class TestSymmetricWells:
         cfg = default_config()
         res = ground_state(cfg, GRID_64, init=default_init(cfg, GRID_64, 1))
         assert len(descents) == 1 and res.wells_descended == ()
+
+
+class TestEvenBlockDescent:
+    """A start that the reflection of an axis leaves, with V and Lambda,
+    exactly unchanged descends on the block of that axis, whose weighted
+    sums are those of the unfolded field on the full grid."""
+
+    @pytest.mark.parametrize("axes", [(0,), (1,), (0, 1)])
+    def test_block_sums_match_the_unfolded_field(self, axes):
+        # wells at (-4, 0) and (4, 0) and Lambda_eps about the origin: V
+        # and the mask are even in both axes
+        cfg = default_config()
+        full = NehariProblem.penalized(cfg, GRID_64)
+        block = full.even_block(axes)
+        a = cfg.pen.a
+        rng = np.random.default_rng(len(axes) + axes[0])
+        b = GRID_64.block(gaussian_bump(GRID_64, (-4.0, 0.0))
+                          + gaussian_bump(GRID_64, (4.0, 0.0)), axes)
+        # outside Lambda_eps: values in [a/2, 4a], their negatives and zeros
+        outside = ~block.in_lambda
+        draw = rng.uniform(0.5 * a, 4.0 * a, b.shape)
+        b[outside] = np.choose(rng.integers(0, 3, b.shape), (draw, -draw, 0.0))[outside]
+        u = GRID_64.unfold(b, axes)
+        assert block.quadratic(b) == pytest.approx(full.quadratic(u), rel=1e-12)
+        assert block.energy(b) == pytest.approx(full.energy(u), rel=1e-12)
+        grad = full.gradient(u)
+        assert np.allclose(block.gradient(b), GRID_64.block(grad, axes),
+                           rtol=0.0, atol=1e-12 * np.max(np.abs(grad)))
+        assert block.inner(b, b) == pytest.approx(float(np.sum(u * u)), rel=1e-12)
+        # the truncated branch acts on none, some and all outside values
+        w = b[outside & (b > 0.0)]
+        ts = (0.5 * a / w.max(), a / np.median(w), 1.01 * a / w.min())
+        on_block, on_grid = NehariMoments(block, b), NehariMoments(full, u)
+        for t in ts:
+            assert on_block.mismatch(t) == pytest.approx(on_grid.mismatch(t), rel=1e-12)
+            assert on_block.energy(t) == pytest.approx(on_grid.energy(t), rel=1e-12)
+        assert on_block._split(ts[1])[3] == on_grid._split(ts[1])[3] > 0
+        assert on_block.scale() == pytest.approx(on_grid.scale(), rel=1e-12)
+
+    @pytest.mark.parametrize("case", ["2d_128", "2d_256", "1d", "d_V0"])
+    def test_levels_match_the_full_grid_descent(self, monkeypatch, case):
+        import frns.solver as solver
+        from frns.cli import build_config, load_config
+
+        if case == "1d":
+            cfg, _ = build_config(load_config(CFG_1D))
+            axes, run = (0,), lambda: ground_state(cfg, grid_for_eps(cfg, cfg.eps, 1024))
+        elif case == "d_V0":
+            auto = AutonomousConfig(mu=-0.2, frac=FRAC, nonlin=NL)
+            axes, run = (0, 1), lambda: autonomous_ground_state(auto, Grid(2, 128, 20.0))
+        else:
+            n = int(case[3:])
+            axes, run = (1,), lambda: ground_state(default_config(), Grid(2, n, 18.0))
+        block = run()
+        monkeypatch.setattr(solver, "_even_axes", lambda problem, start: ())
+        full = run()
+        assert block.descents == ((axes, False),) and full.descents == (((), False),)
+        assert block.converged and full.converged
+        assert block.energy == pytest.approx(full.energy, rel=1e-10)
+        assert block.argmax_index == full.argmax_index
+
+    def test_faulty_block_continues_on_the_full_grid(self, monkeypatch):
+        # one multiplicity wrong (the block's column y = h counted once,
+        # not twice): the block descent ends far from a full-grid critical
+        # point, the guard continues on the full grid and reaches the
+        # reference level of the shipped 2D config at 128^2
+        real = NehariProblem.even_block
+
+        def faulty(problem, axes):
+            block = real(problem, axes)
+            weight = block.weight.copy()
+            weight[:, 1] = 1.0
+            return replace(block, weight=weight)
+
+        monkeypatch.setattr(NehariProblem, "even_block", faulty)
+        res = ground_state(default_config(), Grid(2, 128, 18.0))
+        assert res.descents == (((1,), True),)
+        assert res.converged and res.grad_residual <= 1e-6
+        assert res.energy == pytest.approx(0.46410210866211055, rel=1e-10)
+        assert int(np.argmax(res.field.values)) == 6464
 
 
 GRID_32 = Grid(2, 32, 18.0)
