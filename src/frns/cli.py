@@ -183,9 +183,8 @@ def build_config(raw):
     raw = {key: raw.get(key, default) for key, (_, _, default) in _SCHEMA.items()}
     frac = FracParams(s=raw["frac.s"], m=raw["frac.m"], n_dim=raw["frac.n_dim"])
     n = frac.n_dim
-    for key in ("potential.lambda_center",):
-        if len(raw[key]) != n:
-            raise AssumptionError("(V2)", f"{key} must have {n} coordinates")
+    if len(raw["potential.lambda_center"]) != n:
+        raise AssumptionError("(V2)", f"potential.lambda_center must have {n} coordinates")
     for pnt in raw["potential.M_points"]:
         if len(pnt) != n:
             raise AssumptionError("(V2)", f"well {pnt} must have {n} coordinates")

@@ -27,7 +27,6 @@ class ExtensionStack:
     """Horizontal slabs U(., y_j) of the extension, y_0 = 0."""
 
     grid: Grid
-    params: FracParams
     y_levels: np.ndarray = field(repr=False)
     slabs: np.ndarray = field(repr=False)  # shape (len(y_levels),) + grid.shape
 
@@ -67,7 +66,7 @@ def extend(u: Field, params: FracParams, y_levels=None) -> ExtensionStack:
     uhat = half_spectrum(u.values)
     for j, theta_y in enumerate(damping, start=1):
         slabs[j] = from_half_spectrum(theta_y, uhat, g.shape)
-    return ExtensionStack(grid=g, params=params, y_levels=y_levels, slabs=slabs)
+    return ExtensionStack(grid=g, y_levels=y_levels, slabs=slabs)
 
 
 def conormal_derivative(stack: ExtensionStack, params: FracParams):

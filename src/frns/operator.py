@@ -6,10 +6,11 @@ periodically and the operator acts mode by mode through the symbol
 real, so every spectral multiplier (`spectral_multiply`) and quadratic
 form (`KernelTable.form`) runs on real FFTs with its weight on the half
 spectrum, whose last axis keeps the modes 0..n/2; a spectrum taken once
-(`half_spectrum`) serves any number of multipliers.  A field even in every
-axis about the grid centre is also transformed from its even block alone
-(`Grid.even_block`, `even_block_spectrum`), as the Rayleigh quotients of
-the trace Sobolev constant are (`estimate_s_star`).  A direct
+(`half_spectrum`) serves any number of multipliers.  A field even along
+some axes about the grid centre is held and transformed as its even block
+alone (`Grid.block`, `even_block_spectrum`, `KernelTable.even_block`), as
+the descent's iterates and the bubbles of the trace Sobolev quotient
+(`estimate_s_star`) are.  A direct
 principal-value quadrature of the singular-integral form is kept (1D
 only) as an independent cross-check of the spectral path, and the
 resolvent / Bessel-kernel pair gives the Green-function view.
@@ -100,27 +101,6 @@ class Grid:
         """|k|^2 on the half spectrum, the shape of rfftn of a field."""
         return sum(k * k for k in self.half_wavenumbers())
 
-    def even_block(self) -> tuple:
-        """(|x|^2, |k|^2, multiplicity) on the even block, shape (n/2+1,)*N.
-
-        A field even in every axis about x = 0 (grid index n/2) is fixed by
-        its samples at indices n/2..n, read mod n: x_j = 0, h, ..., L, where
-        L stands for index 0 (x = -L).  Its spectrum is even too, fixed by
-        the modes 0..n/2 (`even_block_spectrum`).  Per axis both carry the
-        multiplicity 1, 2, ..., 2, 1, the number of full-grid samples or
-        modes an entry stands for, so a full-grid sum is the block sum
-        weighted by the product of the axes' multiplicities.
-        """
-        n, N = self.points_per_dim, self.n_dim
-        x = self.spacing * np.arange(n // 2 + 1)
-        k = self.half_wavenumbers()[-1]
-        r2, k2 = 0.0, 0.0
-        for j in range(N):
-            shape = (-1,) + (1,) * (N - 1 - j)
-            r2 = r2 + (x * x).reshape(shape)
-            k2 = k2 + (k * k).reshape(shape)
-        return r2, k2, self.multiplicity(range(N))
-
     def multiplicity(self, axes):
         """The product over `axes` of 1, 2, ..., 2, 1 (n/2 + 1 entries)
         along each, broadcasting to a block even along them (1.0 for no
@@ -135,7 +115,9 @@ class Grid:
 
     def block(self, values, axes):
         """The block of a field even along `axes` about the grid centre:
-        its samples at indices n/2..n (read mod n) along each of them."""
+        its samples at indices n/2..n (read mod n), x = 0, h, ..., L, along
+        each of them, where L stands for index 0 (x = -L).  Its spectrum
+        is even too, fixed by the modes 0..n/2 (`even_block_spectrum`)."""
         n = self.points_per_dim
         for ax in axes:
             values = np.take(values, np.arange(n // 2, n + 1) % n, axis=ax)
@@ -184,7 +166,8 @@ def norm_l2(u: Field) -> float:
 
 @dataclass(frozen=True)
 class KernelTable:
-    """Precomputed symbol (|k|^2 + m^2)^s on the half spectrum.
+    """Precomputed symbol on the half spectrum: (|k|^2 + m^2)^s from
+    `build_symbol`, or any even weight such as the m = 0 |k|^(2s).
 
     `symbol` has the shape of rfftn of a field on `grid`: the full
     lattice on every axis but the last, which holds n/2 + 1 modes.  A
@@ -193,7 +176,6 @@ class KernelTable:
     """
 
     grid: Grid
-    params: FracParams
     symbol: np.ndarray = field(repr=False)
     even_axes: tuple = ()
 
@@ -230,7 +212,7 @@ def build_symbol(grid: Grid, params: FracParams) -> KernelTable:
     if params.n_dim != grid.n_dim:
         raise GridMismatchError("params.n_dim does not match grid.n_dim")
     sym = (grid.half_k_squared() + params.m**2) ** params.s
-    return KernelTable(grid=grid, params=params, symbol=sym)
+    return KernelTable(grid=grid, symbol=sym)
 
 
 def apply_operator(u: Field, table: KernelTable) -> Field:
@@ -277,10 +259,9 @@ def from_half_spectrum(weight, vhat, shape, even_axes=()):
     return out
 
 
-def even_block_spectrum(block, axes=None):
+def even_block_spectrum(block, axes):
     """The real DFT, on the even block, of a field even about the grid
-    centre along `axes` (default every axis), from its samples on the
-    block (`Grid.even_block`, `Grid.block`).
+    centre along `axes`, from its samples on the block (`Grid.block`).
 
     Per axis the block is mirrored to the full length n (the cosine, or
     DCT-I, form of the DFT of an even sequence) and one rfft keeps the
@@ -289,7 +270,7 @@ def even_block_spectrum(block, axes=None):
     (-1)^(k_1 + ... + k_N): |v_hat|^2 and every even weight agree.
     """
     out = block
-    for ax in range(block.ndim) if axes is None else axes:
+    for ax in axes:
         interior = (slice(None),) * ax + (slice(-2, 0, -1),)  # indices n/2-1..1
         out = rfft(np.concatenate((out, out[interior]), axis=ax), axis=ax).real
     return out
@@ -319,30 +300,31 @@ def estimate_s_star(frac: FracParams) -> dict:
 
     Each u_rho is radial about x = 0, grid index n/2, so it is even in
     every axis about that index, and both full-grid sums are evaluated
-    exactly on the even block (`Grid.even_block`, `even_block_spectrum`):
-    (n/2+1)^N samples, one mirrored rfft per axis.  Since
-    2*_s (N-2s)/2 = N, |u|^(2*_s) = q^N cut^(2*_s) with q = rho/(r^2+rho^2).
+    exactly on its block, as the descent's are (`Grid.block`,
+    `Grid.multiplicity`, `KernelTable.even_block`): (n/2+1)^N samples,
+    one mirrored rfft per axis.  The numerator is the form of the m = 0
+    symbol |k|^(2s).  Since 2*_s (N-2s)/2 = N, |u|^(2*_s) = q^N cut^(2*_s)
+    with q = rho/(r^2+rho^2).
     """
     N, s = frac.n_dim, frac.s
     grid = Grid(N, 16384 if N == 1 else 512, 800.0 if N == 1 else 30.0)
+    axes = tuple(range(N))
     rho_values = np.geomspace(0.02, 2.0, 16)
     two_star = frac.two_star
-    hN = grid.spacing**grid.n_dim
-    w = hN / grid.total_points
-    r2, k2, mult = grid.even_block()
-    spec_weight = mult * k2**s
+    r = grid.block(grid.radii(), axes)
+    r2 = r * r
+    form = KernelTable(grid, grid.half_k_squared() ** s).even_block(axes).form
     L = grid.half_length
     # smooth radial cutoff supported in r < 0.9 L
-    cut = 0.5 * (1.0 + np.cos(np.pi * np.clip((np.sqrt(r2) / L - 0.5) / 0.4, 0.0, 1.0)))
-    mult_cut_2star = mult * cut**two_star
+    cut = 0.5 * (1.0 + np.cos(np.pi * np.clip((r / L - 0.5) / 0.4, 0.0, 1.0)))
+    mult_cut_2star = grid.multiplicity(axes) * cut**two_star
 
     sig = sigma_s(s)
     quotients = []
     for rho in rho_values:
         q = rho / (r2 + rho**2)
-        G = even_block_spectrum(q ** ((N - 2.0 * s) / 2.0) * cut)
-        num = sig * w * float(np.sum(spec_weight * G * G))
-        den = (hN * float(np.sum(q**N * mult_cut_2star))) ** (2.0 / two_star)
+        num = sig * form(half_spectrum(q ** ((N - 2.0 * s) / 2.0) * cut, axes))
+        den = (grid.spacing**N * float(np.sum(q**N * mult_cut_2star))) ** (2.0 / two_star)
         quotients.append(num / den)
     quotients = np.asarray(quotients)
     # central slope of log q vs log rho; flattest interior point

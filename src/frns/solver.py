@@ -191,11 +191,6 @@ class NehariProblem:
         Au = from_half_spectrum(self.table.symbol, vhat, u_vals.shape, self.table.even_axes)
         return Au + self.V * u_vals - self.g(self.in_lambda, u_vals)
 
-    def nehari_scale(self, u_vals) -> tuple:
-        """(t, J(t u)) for the unique t > 0 with <J'(t u), t u> = 0
-        (`NehariMoments.scale`)."""
-        return NehariMoments(self, u_vals).scale()
-
     def nehari_residual(self, u_vals) -> float:
         """|<J'(u), u>| / ||u||^2."""
         quad = self.quadratic(u_vals)
@@ -320,7 +315,7 @@ def nehari_scale(u: Field, config) -> float:
         problem = NehariProblem.autonomous(config, u.grid)
     else:
         problem = NehariProblem.penalized(config, u.grid)
-    return problem.nehari_scale(u.values)[0]
+    return NehariMoments(problem, u.values).scale()[0]
 
 
 def _projected_gradient(u_vals, grad) -> tuple:
@@ -785,10 +780,6 @@ def grid_for_eps(config: ModelConfig, eps: float, points_per_dim: int) -> Grid:
     return Grid(config.frac.n_dim, points_per_dim, L)
 
 
-def with_eps(config: ModelConfig, eps: float) -> ModelConfig:
-    return replace(config, eps=eps)
-
-
 def concentration_sweep(
     config: ModelConfig,
     eps_list: Sequence[float],
@@ -806,7 +797,7 @@ def concentration_sweep(
     errors) propagate.
     """
     def run_one(eps):
-        cfg = with_eps(config, eps)
+        cfg = replace(config, eps=eps)
         g = grid_for_eps(cfg, eps, points_per_dim)
         row = {"eps": eps, "grid_points": points_per_dim, "half_length": g.half_length}
         try:

@@ -190,10 +190,15 @@ def richardson(vals, ys, orders):
     One pass per order p in `orders` maps each neighbour pair (a, b) to
     (r v_a - v_b) / (r - 1), r = (y_b / y_a)^p, which cancels c_p y^p on
     a geometric ladder; `vals` may carry trailing axes (one field per y).
+    An order so small that some r rounds to 1 cancels nothing, and raises
+    ZeroDivisionError instead of dividing by r - 1 = 0.
     """
     vals = np.asarray(vals, dtype=float)
     for p in orders:
         r = ((ys[1:] / ys[:-1]) ** p).reshape((-1,) + (1,) * (vals.ndim - 1))
+        if np.any(r == 1.0):
+            raise ZeroDivisionError(f"degenerate Richardson ladder: order {p:.3g} makes "
+                                    "(y_b/y_a)^p round to 1")
         vals = (r * vals[:-1] - vals[1:]) / (r - 1.0)
         ys = ys[:-1]
     return vals[0]

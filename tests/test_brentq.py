@@ -66,12 +66,12 @@ def test_nehari_mismatch_matches_scipy(path, twin_calls):
     a, outside = cfg.pen.a, ~problem.in_lambda
     start = default_init(cfg, grid)
     twin_calls.clear()
-    t0, _ = problem.nehari_scale(start)
+    t0, _ = NehariMoments(problem, start).scale()
     # the start bump is far below a outside Lambda_eps; raise the outside
     # values to [0, 3 a / t0] so that the truncated branch acts at the root
     lifted = start.copy()
     lifted[outside] = np.random.default_rng(1).uniform(0.0, 3.0 * a / t0, int(outside.sum()))
-    t1, _ = problem.nehari_scale(lifted)
+    t1, _ = NehariMoments(problem, lifted).scale()
     assert len(twin_calls) == 2
     linear = int(np.sum(outside & (t1 * lifted >= a)))
     assert 0 < linear < int(outside.sum())

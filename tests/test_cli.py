@@ -306,6 +306,19 @@ class TestExitCodes:
         assert "Traceback" not in err
         assert err.count("\n") == 1
 
+    def test_kernels_near_s_one_is_a_numerical_failure(self, tmp_path, capsys):
+        # the conormal ladder's order 2 - 2s is 2.2e-16: every ratio
+        # (y_b/y_a)^p rounds to 1 and the extrapolation cancels nothing
+        text = open(CFG_2D).read()
+        assert "frac.s = 0.5" in text
+        p = write_cfg(tmp_path, text.replace("frac.s = 0.5", "frac.s = 0.9999999999999999"))
+        code = main(["kernels", "--config", p, "--out", str(tmp_path / "o")])
+        assert code == EXIT_NUMERICAL
+        err = capsys.readouterr().err
+        assert err.startswith("numerical failure: degenerate Richardson ladder")
+        assert "Traceback" not in err
+        assert err.count("\n") == 1
+
     @pytest.mark.parametrize("command, well, center, eps", [
         # the well (-1, 0) at eps = 0.01 sits at x = -100, outside [-5, 5]^2
         ("solve", "-1 0", "0 0", "0.01"),

@@ -175,9 +175,7 @@ class TestExtensionEnergy:
         for _ in range(10):
             bump = rng.standard_normal(stack.slabs.shape) * 0.02
             bump[0] = 0.0  # keep the trace fixed
-            pert = ExtensionStack(
-                grid=grid, params=params, y_levels=ys, slabs=stack.slabs + bump
-            )
+            pert = ExtensionStack(grid=grid, y_levels=ys, slabs=stack.slabs + bump)
             assert extension_energy(pert, params) > base
 
     def test_trace_inequality(self):
@@ -190,8 +188,7 @@ class TestExtensionEnergy:
         competitor = np.empty((len(ys),) + grid.shape)
         for j, y in enumerate(ys):
             competitor[j] = u.values * max(1.0 - y / 10.0, 0.0)
-        stack = ExtensionStack(grid=grid, params=params, y_levels=ys,
-                               slabs=competitor)
+        stack = ExtensionStack(grid=grid, y_levels=ys, slabs=competitor)
         from frns.operator import operator_quadratic_form
 
         table = build_symbol(grid, params)

@@ -12,6 +12,7 @@ from frns.operator import (
     Field,
     Grid,
     GridMismatchError,
+    KernelTable,
     apply_operator,
     apply_operator_singular,
     bessel_kernel,
@@ -182,86 +183,90 @@ class TestSpectralIdentities:
         assert np.max(np.abs(t1.symbol - t2.symbol) / t1.symbol) < 1e-6
 
 
-class TestEvenBlock:
-    """A field even in every axis about grid index n/2, given on its block
-    of indices n/2..n, against the same field on the full grid."""
+# (grid, even axes): every even-axis set in 2D, and the 1D block
+EVEN_CASES = [pytest.param(Grid(2, 64, 7.0), (0,), id="axes0"),
+              pytest.param(Grid(2, 64, 7.0), (1,), id="axes1"),
+              pytest.param(Grid(2, 64, 7.0), (0, 1), id="axes2"),
+              pytest.param(Grid(1, 64, 7.0), (0,), id="1d")]
+
+
+class TestEvenAxes:
+    """A field even along some axes about grid index n/2, held as its
+    block along those axes (`Grid.block`), against the field itself."""
 
     @staticmethod
-    def even_field(n_dim, n, seed):
+    def even_field(grid, axes, seed):
         rng = np.random.default_rng(seed)
-        block = rng.standard_normal((n // 2 + 1,) * n_dim)
-        idx = np.abs(np.arange(n) - n // 2)  # full index j holds block entry |j - n/2|
-        return block, block[np.ix_(*(idx,) * n_dim)]
+        shape = tuple(33 if ax in axes else 64 for ax in range(grid.n_dim))
+        block = rng.standard_normal(shape)
+        u = grid.unfold(block, axes)
+        assert np.array_equal(grid.block(u, axes), block)
+        return block, u
+
+    @pytest.mark.parametrize("grid, axes", EVEN_CASES)
+    def test_spectrum_matches_rfftn_up_to_the_phase(self, grid, axes):
+        N = grid.n_dim
+        block, u = self.even_field(grid, axes, sum(axes) + len(axes))
+        full = np.fft.rfftn(u)[:33]  # modes 0..n/2 on the first axis too
+        # the DFT about index n/2: (-1)^k on each even axis
+        phase = np.ones(full.shape)
+        for ax in axes:
+            phase = phase * (-1.0) ** np.arange(33).reshape((-1,) + (1,) * (N - 1 - ax))
+        vhat = half_spectrum(block, axes)
+        assert np.allclose(vhat, phase * full, rtol=0.0, atol=1e-12 * np.max(np.abs(full)))
+        if len(axes) == N:
+            assert np.array_equal(vhat, even_block_spectrum(block, axes))
+        # the inverse returns the block, and a multiplier acts as on u
+        assert np.allclose(from_half_spectrum(1.0, vhat, block.shape, axes), block,
+                           rtol=0.0, atol=1e-13)
+        weight = grid.half_k_squared() ** 0.3
+        Au = from_half_spectrum(weight, half_spectrum(u), u.shape)
+        Ab = from_half_spectrum(weight[:33], vhat, block.shape, axes)
+        assert np.allclose(Ab, grid.block(Au, axes), rtol=0.0, atol=1e-12)
+
+    @pytest.mark.parametrize("grid, axes", EVEN_CASES)
+    def test_block_table_form_matches_full_grid(self, grid, axes):
+        table = build_symbol(grid, FracParams(s=0.3, m=1.0, n_dim=grid.n_dim))
+        block, u = self.even_field(grid, axes, 7)
+        vhat = half_spectrum(block, axes)
+        assert table.even_block(axes).form(vhat) == pytest.approx(
+            table.form(half_spectrum(u)), rel=1e-12)
+        mult = grid.multiplicity(axes)
+        assert float(np.sum(mult * block)) == pytest.approx(float(np.sum(u)), rel=1e-12)
+        assert float(np.sum(mult * np.ones_like(block))) == grid.total_points
 
     @pytest.mark.parametrize("n_dim", [1, 2])
     def test_block_sums_match_full_grid(self, n_dim):
+        # the all-axes block under the m = 0 symbols |k|^0 and |k|^(2s),
+        # against h^N/n^N sum |k|^(2s) |fftn(u)|^2 over the full spectrum
         grid = Grid(n_dim, 64, 7.0)
-        s = 0.3
-        _, k2, mult = grid.even_block()
+        axes = tuple(range(n_dim))
+        k1 = 2.0 * np.pi * np.fft.fftfreq(64, d=grid.spacing)
+        k2_full = sum(k * k for k in np.meshgrid(*(k1,) * n_dim, indexing="ij"))
+        w = grid.spacing**n_dim / grid.total_points
         for seed in range(3):
-            block, u = self.even_field(n_dim, 64, seed)
-            G = even_block_spectrum(block)
+            block, u = self.even_field(grid, axes, seed)
+            vhat = half_spectrum(block, axes)
             power = np.abs(np.fft.fftn(u)) ** 2
-            k2_full = sum(k * k for k in np.meshgrid(
-                *(2.0 * np.pi * np.fft.fftfreq(64, d=grid.spacing),) * n_dim, indexing="ij"))
-            for block_w, full_w in ((1.0, 1.0), (k2**s, k2_full**s)):
-                full = float(np.sum(full_w * power))
-                assert float(np.sum(mult * block_w * G * G)) == pytest.approx(full, rel=1e-12)
+            for s in (0.0, 0.3):
+                table = KernelTable(grid, grid.half_k_squared() ** s).even_block(axes)
+                full = w * float(np.sum(k2_full**s * power))
+                assert table.form(vhat) == pytest.approx(full, rel=1e-12)
+            mult = grid.multiplicity(axes)
             assert float(np.sum(mult * block)) == pytest.approx(float(np.sum(u)), rel=1e-12)
 
     @pytest.mark.parametrize("n_dim", [1, 2])
     def test_block_coordinates_are_the_grid_radii(self, n_dim):
         grid = Grid(n_dim, 64, 7.0)
-        r2, _, mult = grid.even_block()
-        idx = np.abs(np.arange(64) - 32)  # block index 32 (x = L) stands for x = -L
-        assert np.allclose(r2[np.ix_(*(idx,) * n_dim)], grid.radii() ** 2, rtol=1e-14, atol=0.0)
-        assert float(np.sum(mult)) == grid.total_points
-
-
-class TestEvenAxes:
-    """A 2D field even along some axes about grid index n/2, held as its
-    block along those axes (`Grid.block`), against the field itself."""
-
-    GRID = Grid(2, 64, 7.0)
-
-    def even_field(self, axes, seed):
-        rng = np.random.default_rng(seed)
-        shape = tuple(33 if ax in axes else 64 for ax in range(2))
-        block = rng.standard_normal(shape)
-        u = self.GRID.unfold(block, axes)
-        assert np.array_equal(self.GRID.block(u, axes), block)
-        return block, u
-
-    @pytest.mark.parametrize("axes", [(0,), (1,), (0, 1)])
-    def test_spectrum_matches_rfftn_up_to_the_phase(self, axes):
-        block, u = self.even_field(axes, sum(axes) + len(axes))
-        full = np.fft.rfftn(u)[:33]  # modes 0..n/2 on the first axis too
-        # the DFT about index n/2: (-1)^k on each even axis
-        phase = np.ones((33, 33))
-        for ax in axes:
-            phase = phase * (-1.0) ** np.arange(33).reshape((-1,) + (1,) * (1 - ax))
-        vhat = half_spectrum(block, axes)
-        assert np.allclose(vhat, phase * full, rtol=0.0, atol=1e-12 * np.max(np.abs(full)))
-        if axes == (0, 1):
-            assert np.array_equal(vhat, even_block_spectrum(block))
-        # the inverse returns the block, and a multiplier acts as on u
-        assert np.allclose(from_half_spectrum(1.0, vhat, block.shape, axes), block,
-                           rtol=0.0, atol=1e-13)
-        weight = self.GRID.half_k_squared() ** 0.3
-        Au = from_half_spectrum(weight, half_spectrum(u), u.shape)
-        Ab = from_half_spectrum(weight[:33], vhat, block.shape, axes)
-        assert np.allclose(Ab, self.GRID.block(Au, axes), rtol=0.0, atol=1e-12)
-
-    @pytest.mark.parametrize("axes", [(0,), (1,), (0, 1)])
-    def test_block_table_form_matches_full_grid(self, axes):
-        table = build_symbol(self.GRID, FracParams(s=0.3, m=1.0, n_dim=2))
-        block, u = self.even_field(axes, 7)
-        vhat = half_spectrum(block, axes)
-        assert table.even_block(axes).form(vhat) == pytest.approx(
-            table.form(half_spectrum(u)), rel=1e-12)
-        mult = self.GRID.multiplicity(axes)
-        assert float(np.sum(mult * block)) == pytest.approx(float(np.sum(u)), rel=1e-12)
-        assert float(np.sum(mult * np.ones_like(block))) == self.GRID.total_points
+        axes = tuple(range(n_dim))
+        r2 = grid.radii() ** 2
+        block = grid.block(r2, axes)
+        # x = 0, h, ..., L along each axis, where L stands for index 0 (x = -L)
+        x2 = (grid.spacing * np.arange(33)) ** 2
+        expected = sum(x2.reshape((-1,) + (1,) * (n_dim - 1 - j)) for j in axes)
+        assert np.allclose(block, expected, rtol=1e-14, atol=0.0)
+        assert np.allclose(grid.unfold(block, axes), r2, rtol=1e-14, atol=0.0)
+        assert float(np.sum(grid.multiplicity(axes) * np.ones_like(block))) == grid.total_points
 
 
 class TestResolvent:

@@ -37,7 +37,6 @@ from frns.solver import (
     mp_threshold,
     nehari_scale,
     verify_solution_region,
-    with_eps,
     zeta_constant,
 )
 
@@ -547,8 +546,8 @@ FIELDS_32 = st.builds(
 def test_scale_covariance(kind, u, c):
     # t(c u) = t(u) / c
     problem = PROBLEMS_32[kind]
-    t = problem.nehari_scale(u)[0]
-    assert problem.nehari_scale(c * u)[0] == pytest.approx(t / c, rel=1e-12)
+    t = NehariMoments(problem, u).scale()[0]
+    assert NehariMoments(problem, c * u).scale()[0] == pytest.approx(t / c, rel=1e-12)
 
 
 @pytest.mark.parametrize("width,amp_out,c,t_min", [
@@ -560,9 +559,9 @@ def test_nehari_scan_has_no_fixed_bound(width, amp_out, c, t_min):
     u = (gaussian_bump(GRID_32, (0.0, 0.0), width=width, amplitude=0.05078125)
          + gaussian_bump(GRID_32, (13.0, 0.0), amplitude=amp_out))
     problem = PROBLEMS_32["penalized"]
-    t = problem.nehari_scale(u)[0]
+    t = NehariMoments(problem, u).scale()[0]
     assert t / c > t_min
-    assert problem.nehari_scale(c * u)[0] == pytest.approx(t / c, rel=1e-12)
+    assert NehariMoments(problem, c * u).scale()[0] == pytest.approx(t / c, rel=1e-12)
 
 
 @pytest.mark.parametrize("kind", sorted(PROBLEMS_32))
@@ -570,7 +569,7 @@ def test_nehari_scan_has_no_fixed_bound(width, amp_out, c, t_min):
 @given(u=FIELDS_32)
 def test_scaled_field_on_nehari_manifold(kind, u):
     problem = PROBLEMS_32[kind]
-    t = problem.nehari_scale(u)[0]
+    t = NehariMoments(problem, u).scale()[0]
     assert problem.nehari_residual(t * u) <= 1e-10
 
 
@@ -667,16 +666,12 @@ class TestSweepHelpers:
         assert g.half_length == pytest.approx(18.0)
         assert g.points_per_dim == 128
 
-    def test_with_eps(self):
-        cfg = default_config()
-        cfg2 = with_eps(cfg, 0.1)
-        assert cfg2.eps == 0.1
-        assert cfg2.potential is cfg.potential
-
     def test_sweep_records_only_numerical_failures(self, monkeypatch):
         import frns.solver as solver
 
-        def no_bracket(*args, **kwargs):
+        def no_bracket(cfg, *args, **kwargs):
+            # each row's solve gets the config at the row's eps
+            assert (cfg.eps, cfg.potential) == (0.5, default_config().potential)
             raise NoBracketError("no Nehari bracket")
 
         def bug(*args, **kwargs):
