@@ -27,11 +27,8 @@ from .params import (
     ModelConfig,
     NonlinearitySpec,
     NoPositivePartError,
-    PenalizationSpec,
     PotentialSpec,
     Tolerances,
-    solve_penalization_threshold,
-    validate_config,
 )
 
 EXIT_PASS = 0
@@ -177,10 +174,16 @@ class RunSettings:
 def build_config(raw):
     """Raw schema dict -> (ModelConfig, RunSettings).
 
-    Semantic violations surface as AssumptionError / DomainError from
-    the model layer (exit code 2 territory).
+    Semantic violations surface as AssumptionError / DomainError (exit
+    code 2 territory): from the model layer, or for a set
+    `grid.half_length` <= 0 or a `solver.max_iterations` < 1.
     """
     raw = {key: raw.get(key, default) for key, (_, _, default) in _SCHEMA.items()}
+    half_length, max_it = raw["grid.half_length"], raw["solver.max_iterations"]
+    if half_length is not None and not half_length > 0.0:
+        raise DomainError(f"grid.half_length must be positive, got {half_length}")
+    if max_it < 1:
+        raise DomainError(f"solver.max_iterations must be at least 1, got {max_it}")
     frac = FracParams(s=raw["frac.s"], m=raw["frac.m"], n_dim=raw["frac.n_dim"])
     n = frac.n_dim
     if len(raw["potential.lambda_center"]) != n:
@@ -198,17 +201,14 @@ def build_config(raw):
         lambda_center=raw["potential.lambda_center"],
         lambda_radius=raw["potential.lambda_radius"],
     )
-    a = solve_penalization_threshold(frac, nonlin, pot.V1, raw["pen.kappa"])
-    cfg = ModelConfig(
-        frac=frac, eps=raw["eps"], potential=pot, nonlin=nonlin,
-        pen=PenalizationSpec(kappa=raw["pen.kappa"], a=a),
-    )
+    cfg = ModelConfig(frac=frac, eps=raw["eps"], potential=pot, nonlin=nonlin,
+                      kappa=raw["pen.kappa"])
     settings = RunSettings(
         points_per_dim=raw["grid.points_per_dim"],
-        half_length=raw["grid.half_length"] or 0.0,
+        half_length=half_length or 0.0,
         tolerances=Tolerances(
             grad=raw["solver.grad_tol"],
-            max_iterations=raw["solver.max_iterations"],
+            max_iterations=max_it,
         ),
         sweep_eps=raw["sweep.eps"],
         sweep_points_per_dim=raw["sweep.points_per_dim"],
@@ -390,8 +390,7 @@ def write_svg(path, xs, ys, title, xlabel, ylabel):
 
 def cmd_validate(args) -> int:
     raw = load_config(args.config)
-    cfg, _ = build_config(raw)
-    validate_config(cfg)
+    build_config(raw)  # ModelConfig checks every assumption and derives a
     for name in ("(V1)", "(V2)", "(f2)", "kappa bound", "threshold a"):
         print(f"verified {name}")
     print(f"config-hash {config_hash(raw)}")
@@ -488,7 +487,6 @@ def cmd_kernels(args) -> int:
 
 
 # CSV column -> solve_report key, where the two differ
-_DIAGNOSTICS_KEYS = {"decay_r_squared": "decay_r2"}
 _SWEEP_KEYS = {"max_outside_Lambda": "max_outside_lambda"}
 
 
@@ -527,8 +525,7 @@ def cmd_solve(args) -> int:
          "decay_C1", "decay_C2", "decay_r_squared", "decay_bound_ok"),
     )
     diag_path = os.path.join(args.out, "diagnostics.csv")
-    write_csv(diag_path, diag_header, [_select(report, diag_header, _DIAGNOSTICS_KEYS)],
-              cfg_hash)
+    write_csv(diag_path, diag_header, [_select(report, diag_header, {})], cfg_hash)
     outputs.append(diag_path)
 
     radii, env = shell_envelope(res)
@@ -628,7 +625,7 @@ def cmd_sstar(args) -> int:
 # ---------------------------------------------------------------------------
 # entry point
 
-def _build_parser():
+def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="frns",
         description="Ground states and kernel diagnostics for (-Delta + m^2)^s.",
@@ -654,8 +651,11 @@ def _build_parser():
     return parser
 
 
+_PARSER = _build_parser()
+
+
 def main(argv=None) -> int:
-    args = _build_parser().parse_args(argv)
+    args = _PARSER.parse_args(argv)
     # glibc's malloc (mallopt(3)) maps each block above its mmap threshold
     # afresh, trims the heap top beyond twice that threshold, and raises
     # the threshold to the size of any mapped block that is freed.  From

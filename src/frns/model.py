@@ -5,8 +5,10 @@ The potential V has a designated well region Lambda containing the set
 M of its minima; outside Lambda the nonlinearity is truncated above the
 threshold a to the small linear term (V1/kappa) t, which is what makes
 the variational problem compact-friendly while leaving solutions that
-stay below a outside Lambda untouched.  The specs, the threshold a and
-the check of the hypotheses need no arrays and live in `params`.
+stay below a outside Lambda untouched.  The specs, the check of the
+hypotheses and the threshold a (derived by `ModelConfig`) need no arrays
+and live in `params`.  Both Nehari problems of the solver evaluate g and
+G here, the autonomous one with a = inf: g untruncated.
 
 All optimization happens on trace fields over R^N with the spectral
 operator (the energy and its gradient live in the solver module); the
@@ -35,46 +37,47 @@ def potential_values(pot: PotentialSpec, *coords):
 # penalized nonlinearity g and primitive G
 
 
-def g_eval(config: ModelConfig, in_lambda, t):
+def g_eval(config, in_lambda, t):
     """Penalized nonlinearity g(x, t).
 
     Inside Lambda: f(t) + (t+)^(2*_s - 1).  Outside: the same below the
-    threshold a, and (V1/kappa) t above it; the two branches agree at
-    t = a by the threshold identity.  Zero for t <= 0.
+    threshold a, and slope * t above it (slope = V1/kappa); the two
+    branches agree at t = a by the threshold identity.  Zero for t <= 0.
 
-    `in_lambda` is a boolean array (or scalar) marking x in Lambda;
-    broadcast against t.
+    `config` supplies `nonlin`, `two_star`, `a` and `slope` (a
+    ModelConfig, or an AutonomousConfig with a = inf).  `in_lambda`
+    marks x in Lambda, broadcast to the shape of t.
     """
-    nl, pot, pen = config.nonlin, config.potential, config.pen
     t = np.asarray(t, dtype=float)
     # only t > 0 (and nan, which stays nan) goes through pow: it takes a
     # slow path for a 0.0 base, and the clipped field holds many zeros
     pos = np.logical_not(t <= 0.0)
     tp = t[pos]
-    full = np.zeros(t.shape)
-    full[pos] = nl.f(tp) + tp ** (config.two_star - 1.0)
-    linear = (pot.V1 / pen.kappa) * t
-    outside_high = np.logical_and(np.logical_not(in_lambda), t >= pen.a)
-    return np.where(outside_high, linear, full)
+    g = np.zeros(t.shape)
+    g[pos] = config.nonlin.f(tp) + tp ** (config.two_star - 1.0)
+    high = np.logical_and(np.logical_not(in_lambda), t >= config.a)
+    if high.any():
+        g[high] = config.slope * t[high]
+    return g
 
 
-def G_eval(config: ModelConfig, in_lambda, t):
+def G_eval(config, in_lambda, t):
     """Primitive G(x, t) = int_0^t g(x, tau) dtau, closed form per branch.
 
     For x outside Lambda and t >= a:
-        F(a) + a^(2*_s)/2*_s + (V1 / 2 kappa)(t^2 - a^2),
-    which matches the inner branch C^1 at t = a.
+        F(a) + a^(2*_s)/2*_s + (slope / 2)(t^2 - a^2),
+    which matches the inner branch C^1 at t = a; it is evaluated only
+    where it applies, so a = inf takes part in no arithmetic.
     """
-    nl, pot, pen = config.nonlin, config.potential, config.pen
-    two_star = config.two_star
+    nl, two_star, a = config.nonlin, config.two_star, config.a
     t = np.asarray(t, dtype=float)
     tp = np.maximum(t, 0.0)
-    full = nl.F(tp) + tp**two_star / two_star
-    a = pen.a
-    G_at_a = float(nl.F(a) + a**two_star / two_star)
-    linear = G_at_a + (pot.V1 / (2.0 * pen.kappa)) * (t**2 - a**2)
-    outside_high = np.logical_and(np.logical_not(in_lambda), t >= pen.a)
-    return np.where(outside_high, linear, full)
+    G = np.asarray(nl.F(tp) + tp**two_star / two_star)  # a 0-d t gives a numpy scalar
+    high = np.logical_and(np.logical_not(in_lambda), t >= a)
+    if high.any():
+        G_at_a = float(nl.F(a) + a**two_star / two_star)
+        G[high] = G_at_a + (0.5 * config.slope) * (t[high] ** 2 - a**2)
+    return G
 
 
 # ---------------------------------------------------------------------------

@@ -1,9 +1,9 @@
 """Problem parameters that need no arrays.
 
-The fractional order, the potential, nonlinearity and penalization
-specs, the joint check of the paper's hypotheses ((V1), (V2), (f2), the
-kappa bound and the threshold identity), the penalization threshold,
-the descent's stopping rule and Brent's root finder.
+The fractional order, the potential and nonlinearity specs, the joint
+check of the paper's hypotheses ((V1), (V2), (f2) and the kappa bound),
+the penalization threshold a that the check derives, the descent's
+stopping rule and Brent's root finder.
 
 The module imports the standard library alone, so a command that only
 validates a config (`frns validate`) starts without numpy; the array
@@ -11,7 +11,7 @@ layers (specfun, operator, model, solver) import these names from here.
 """
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 
 class DomainError(ValueError):
@@ -218,14 +218,6 @@ class NonlinearitySpec:
         return self.lam * t**self.p / self.p
 
 
-@dataclass(frozen=True)
-class PenalizationSpec:
-    """Penalization parameters: kappa and the truncation threshold a."""
-
-    kappa: float
-    a: float
-
-
 def solve_penalization_threshold(
     frac: FracParams, nonlin: NonlinearitySpec, V1: float, kappa: float
 ) -> float:
@@ -265,28 +257,36 @@ def solve_penalization_threshold(
 
 @dataclass(frozen=True)
 class ModelConfig:
-    """All problem parameters, validated jointly at construction."""
+    """All problem parameters, validated jointly at construction, which
+    also derives the penalization threshold `a` (`validate_config`)."""
 
     frac: FracParams
     eps: float
     potential: PotentialSpec
     nonlin: NonlinearitySpec
-    pen: PenalizationSpec
+    kappa: float
+    a: float = field(init=False)
 
     def __post_init__(self):
-        validate_config(self)
+        object.__setattr__(self, "a", validate_config(self))
 
     @property
     def two_star(self) -> float:
         return self.frac.two_star
 
+    @property
+    def slope(self) -> float:
+        """V1/kappa, the slope of the truncated branch of g."""
+        return self.potential.V1 / self.kappa
 
-def validate_config(cfg: "ModelConfig"):
-    """Check (V1), (V2), (f2), the kappa bound and the threshold identity.
+
+def validate_config(cfg: "ModelConfig") -> float:
+    """Check (V1), (V2), (f2) and the kappa bound, and return the
+    penalization threshold a (`solve_penalization_threshold`).
 
     Raises AssumptionError naming the first violated assumption.
     """
-    frac, pot, nl, pen = cfg.frac, cfg.potential, cfg.nonlin, cfg.pen
+    frac, pot, nl = cfg.frac, cfg.potential, cfg.nonlin
     m2s = frac.m ** (2.0 * frac.s)
     if not 0.0 < pot.V1 < m2s:
         raise AssumptionError("(V1)", f"need 0 < V1 < m^(2s)={m2s:.6g}, got V1={pot.V1}")
@@ -319,20 +319,16 @@ def validate_config(cfg: "ModelConfig"):
     if not 2.0 < nl.ar_theta <= nl.p:
         raise AssumptionError("(f2)", f"need ar_theta in (2, p], got {nl.ar_theta}")
     kappa_min = max(pot.V1 / (m2s - pot.V1), nl.ar_theta / (nl.ar_theta - 2.0))
-    if not pen.kappa > kappa_min:
+    if not cfg.kappa > kappa_min:
         raise AssumptionError(
             "kappa bound",
             f"need kappa > max(V1/(m^2s - V1), theta/(theta-2)) = {kappa_min:.6g}, "
-            f"got {pen.kappa}",
+            f"got {cfg.kappa}",
         )
-    a_star = solve_penalization_threshold(frac, nl, pot.V1, pen.kappa)
-    if abs(pen.a - a_star) > 1e-9 * max(1.0, a_star):
-        raise AssumptionError(
-            "threshold a", f"configured a={pen.a} does not solve the threshold equation "
-            f"(root is {a_star:.15g})"
-        )
+    a = solve_penalization_threshold(frac, nl, pot.V1, cfg.kappa)
     if not cfg.eps > 0.0:
         raise AssumptionError("(V2)", f"eps must be positive, got {cfg.eps}")
+    return a
 
 
 # ---------------------------------------------------------------------------

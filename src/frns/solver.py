@@ -16,7 +16,7 @@ potential term and in whether the nonlinearity is truncated.
 import math
 from dataclasses import dataclass, replace
 from itertools import permutations, product
-from typing import Callable, Optional, Sequence
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -60,11 +60,15 @@ class SolveResult:
 
 @dataclass(frozen=True)
 class AutonomousConfig:
-    """Constant-potential problem data: shift mu, operator params, power f."""
+    """Constant-potential problem data: shift mu, operator params, power f.
+    The class attributes a = inf and slope = 0 (no fields) complete the
+    interface that `model.g_eval` reads, with g untruncated."""
 
     mu: float
     frac: FracParams
     nonlin: NonlinearitySpec
+    a = math.inf
+    slope = 0.0
 
     def __post_init__(self):
         m2s = self.frac.m ** (2.0 * self.frac.s)
@@ -72,6 +76,10 @@ class AutonomousConfig:
             raise AssumptionError(
                 "(V1)", f"autonomous shift needs mu > -m^(2s) = {-m2s:.6g}, got {self.mu}"
             )
+
+    @property
+    def two_star(self) -> float:
+        return self.frac.two_star
 
 
 @dataclass(frozen=True)
@@ -81,16 +89,18 @@ class NehariProblem:
         J(u) = 1/2 ||u||^2 - sum G(x, u) h^N,  ||u||^2 = <Au, u> + sum V u^2 h^N,
 
     with gradient J'(u) = A u + V u - g(x, u).  The penalized and the
-    autonomous problem differ only in V and in the nonlinearity g (with
-    primitive G); build them with `penalized` and `autonomous`.  Every
-    method takes raw sample values on `grid`, or on the block of
-    `even_block`, where each sum over the grid weights a sample by the
-    full-grid samples it stands for (`weight`).
+    autonomous problem differ only in V and in `config`; build them with
+    `penalized` and `autonomous`.  Every method takes raw sample values
+    on `grid`, or on the block of `even_block`, where each sum over the
+    grid weights a sample by the full-grid samples it stands for
+    (`weight`).
 
     Both use the power model g(x, t) = lam t^(p-1) + t^(2*_s - 1) for
-    t > 0, replaced by slope * t outside `in_lambda` where t >= a; the
-    scalars below describe it for the per-candidate power sums
-    (`NehariMoments`), while `g` and `G` evaluate it pointwise.
+    t > 0, replaced by slope * t outside `in_lambda` where t >= a.
+    `config` (a ModelConfig or an AutonomousConfig) holds its scalars:
+    `nonlin`, `two_star`, `a` and `slope`.  `g` and `G` evaluate it
+    pointwise through `model.g_eval` and `model.G_eval`, and
+    `NehariMoments` from per-candidate power sums.
     """
 
     grid: Grid
@@ -98,13 +108,7 @@ class NehariProblem:
     V: np.ndarray               # potential values on the grid
     in_lambda: np.ndarray       # where the untruncated nonlinearity acts
     weight: np.ndarray          # full-grid samples each value stands for
-    g: Callable                 # (in_lambda, t) -> g(x, t) at those points
-    G: Callable                 # its primitive in t
-    lam: float
-    p: float
-    two_star: float
-    a: float = np.inf           # truncation threshold outside in_lambda
-    slope: float = 0.0          # V1/kappa, slope of the truncated branch
+    config: ModelConfig | AutonomousConfig
 
     @classmethod
     def penalized(cls, config: ModelConfig, grid: Grid) -> "NehariProblem":
@@ -116,39 +120,19 @@ class NehariProblem:
             V=np.broadcast_to(potential_on_grid(config, grid), grid.shape),
             in_lambda=mask,
             weight=np.ones(grid.shape),
-            g=lambda in_lambda, t: g_eval(config, in_lambda, t),
-            G=lambda in_lambda, t: G_eval(config, in_lambda, t),
-            lam=config.nonlin.lam,
-            p=config.nonlin.p,
-            two_star=config.two_star,
-            a=config.pen.a,
-            slope=config.potential.V1 / config.pen.kappa,
+            config=config,
         )
 
     @classmethod
     def autonomous(cls, config: AutonomousConfig, grid: Grid) -> "NehariProblem":
         """Constant potential mu and the untruncated f(t) + (t+)^(2*_s - 1)."""
-        nl, two_star = config.nonlin, config.frac.two_star
-
-        def g(in_lambda, t):
-            tp = np.maximum(np.asarray(t, dtype=float), 0.0)
-            return nl.f(tp) + tp ** (two_star - 1.0)
-
-        def G(in_lambda, t):
-            tp = np.maximum(np.asarray(t, dtype=float), 0.0)
-            return nl.F(tp) + tp**two_star / two_star
-
         return cls(
             grid=grid,
             table=build_symbol(grid, config.frac),
             V=np.full(grid.shape, config.mu),
             in_lambda=np.ones(grid.shape, dtype=bool),
             weight=np.ones(grid.shape),
-            g=g,
-            G=G,
-            lam=nl.lam,
-            p=nl.p,
-            two_star=two_star,
+            config=config,
         )
 
     def even_block(self, axes) -> "NehariProblem":
@@ -163,6 +147,12 @@ class NehariProblem:
     @property
     def cell_volume(self) -> float:
         return self.grid.spacing**self.grid.n_dim
+
+    def g(self, t) -> np.ndarray:
+        return g_eval(self.config, self.in_lambda, t)
+
+    def G(self, t) -> np.ndarray:
+        return G_eval(self.config, self.in_lambda, t)
 
     def inner(self, a, b) -> float:
         """sum a b over the full grid, without the factor h^N."""
@@ -180,7 +170,7 @@ class NehariProblem:
         """J(t u); pass quad = ||u||^2 when known to skip its FFT."""
         if quad is None:
             quad = self.quadratic(u_vals)
-        G_sum = float(np.sum(self.weight * self.G(self.in_lambda, t * u_vals)))
+        G_sum = float(np.sum(self.weight * self.G(t * u_vals)))
         return 0.5 * t * t * quad - self.cell_volume * G_sum
 
     def gradient(self, u_vals, vhat=None) -> np.ndarray:
@@ -189,12 +179,12 @@ class NehariProblem:
         if vhat is None:
             vhat = half_spectrum(u_vals, self.table.even_axes)
         Au = from_half_spectrum(self.table.symbol, vhat, u_vals.shape, self.table.even_axes)
-        return Au + self.V * u_vals - self.g(self.in_lambda, u_vals)
+        return Au + self.V * u_vals - self.g(u_vals)
 
     def nehari_residual(self, u_vals) -> float:
         """|<J'(u), u>| / ||u||^2."""
         quad = self.quadratic(u_vals)
-        g_sum = float(np.sum(self.weight * self.g(self.in_lambda, u_vals) * u_vals))
+        g_sum = float(np.sum(self.weight * self.g(u_vals) * u_vals))
         return abs(quad - self.cell_volume * g_sum) / abs(quad)
 
 
@@ -227,7 +217,7 @@ class NehariMoments:
         self.problem = problem
         self.vhat = half_spectrum(u_vals, problem.table.even_axes)
         self.quad = problem.quadratic(u_vals, self.vhat)
-        p, two_star = problem.p, problem.two_star
+        p, two_star = problem.config.nonlin.p, problem.config.two_star
         w_in = problem.weight[sel]
         sel = np.logical_and(pos, np.logical_not(problem.in_lambda))
         self.outside, self.w_out = u_vals[sel], problem.weight[sel]
@@ -266,8 +256,8 @@ class NehariMoments:
     def _split(self, t) -> tuple:
         """(sum u^p, sum u^(2*)) over the full-nonlinearity points, and
         (sum u^2, count) over the truncated ones, at scale t."""
-        pr = self.problem
-        if t * self.max_out < pr.a:
+        cfg = self.problem.config
+        if t * self.max_out < cfg.a:
             return self.sum_p, self.sum_s, 0.0, 0
         if self._sorted is None:
             order = np.argsort(self.outside)
@@ -275,38 +265,38 @@ class NehariMoments:
             zero = np.zeros(1)
             self._sorted = (
                 w,
-                np.concatenate((zero, np.cumsum(mult * w**pr.p))),
-                np.concatenate((zero, np.cumsum(mult * w**pr.two_star))),
+                np.concatenate((zero, np.cumsum(mult * w**cfg.nonlin.p))),
+                np.concatenate((zero, np.cumsum(mult * w**cfg.two_star))),
                 np.concatenate((np.cumsum((mult * w * w)[::-1])[::-1], zero)),
                 np.concatenate((np.cumsum(mult[::-1])[::-1], zero)),
             )
         w, cum_p, cum_s, tail_2, tail_n = self._sorted
-        k = int(np.searchsorted(w, pr.a / t))
+        k = int(np.searchsorted(w, cfg.a / t))
         return (self.sum_p_in + cum_p[k], self.sum_s_in + cum_s[k],
                 tail_2[k], tail_n[k])
 
     def mismatch(self, t) -> float:
         """<J'(t u), t u>/t^2 = ||u||^2 - sum g(x, t u) u h^N / t,
         nonincreasing in t."""
-        pr = self.problem
+        cfg, nl = self.problem.config, self.problem.config.nonlin
         sum_p, sum_s, sum_2, _ = self._split(t)
-        pairing = (pr.lam * t ** (pr.p - 2.0) * sum_p
-                   + t ** (pr.two_star - 2.0) * sum_s + pr.slope * sum_2)
-        return self.quad - pr.cell_volume * pairing
+        pairing = (nl.lam * t ** (nl.p - 2.0) * sum_p
+                   + t ** (cfg.two_star - 2.0) * sum_s + cfg.slope * sum_2)
+        return self.quad - self.problem.cell_volume * pairing
 
     def energy(self, t) -> float:
         """J(t u), with the closed-form linear branch of G past a."""
-        pr = self.problem
+        cfg, nl = self.problem.config, self.problem.config.nonlin
+        two_star, a = cfg.two_star, cfg.a
         sum_p, sum_s, sum_2, n_lin = self._split(t)
-        G_sum = (pr.lam * t**pr.p * sum_p / pr.p
-                 + t**pr.two_star * sum_s / pr.two_star
-                 + 0.5 * pr.slope * t * t * sum_2)
+        G_sum = (nl.lam * t**nl.p * sum_p / nl.p
+                 + t**two_star * sum_s / two_star
+                 + 0.5 * cfg.slope * t * t * sum_2)
         if n_lin:
             # G(x, s) = G(a) + slope (s^2 - a^2)/2 on the truncated branch
-            a = pr.a
-            G_sum += n_lin * (pr.lam * a**pr.p / pr.p + a**pr.two_star / pr.two_star
-                              - 0.5 * pr.slope * a * a)
-        return 0.5 * t * t * self.quad - pr.cell_volume * G_sum
+            G_sum += n_lin * (nl.lam * a**nl.p / nl.p + a**two_star / two_star
+                              - 0.5 * cfg.slope * a * a)
+        return 0.5 * t * t * self.quad - self.problem.cell_volume * G_sum
 
 
 def nehari_scale(u: Field, config) -> float:
@@ -620,7 +610,7 @@ def _best_descent(problem, starts, tolerances) -> SolveResult:
 def zeta_constant(config: ModelConfig) -> float:
     """zeta = 1 - (V1 / m^(2s)) (1 + 1/kappa), in (0, 1)."""
     m2s = config.frac.m ** (2.0 * config.frac.s)
-    return 1.0 - (config.potential.V1 / m2s) * (1.0 + 1.0 / config.pen.kappa)
+    return 1.0 - (config.potential.V1 / m2s) * (1.0 + 1.0 / config.kappa)
 
 
 def mp_threshold(config: ModelConfig) -> float:
@@ -639,8 +629,8 @@ def verify_solution_region(result: SolveResult, config: ModelConfig) -> dict:
     max_outside = float(np.max(outside)) if outside.size else 0.0
     return {
         "max_outside_lambda": max_outside,
-        "a_threshold": config.pen.a,
-        "below_threshold": bool(max_outside < config.pen.a),
+        "a_threshold": config.a,
+        "below_threshold": bool(max_outside < config.a),
     }
 
 
@@ -761,7 +751,7 @@ def solve_report(result: SolveResult, config: ModelConfig) -> dict:
         **region,
         "decay_C1": fit["C1"],
         "decay_C2": fit["C2"],
-        "decay_r2": fit["r_squared"],
+        "decay_r_squared": fit["r_squared"],
         "decay_bound_ok": fit["pointwise_bound_ok"],
     }
 

@@ -236,7 +236,7 @@ def test_criterion_09_concentration_sweep(capsys, default_config, sweep_rows):
     )
     final_close = dists[-1] <= 2.0 * cells[-1]
     outside_small = rows[-1]["max_outside_lambda"] < rows[-1]["a_threshold"]
-    decay_ok = all(r["decay_C2"] > 0.0 and r["decay_r2"] >= 0.95 for r in rows)
+    decay_ok = all(r["decay_C2"] > 0.0 and r["decay_r_squared"] >= 0.95 for r in rows)
     ok = monotone and final_close and outside_small and decay_ok
     report(
         capsys, 9,

@@ -53,9 +53,9 @@ def twin_calls(monkeypatch):
 @pytest.mark.parametrize("path", CONFIGS, ids=["2d", "1d"])
 def test_threshold_equation_matches_scipy(path, twin_calls):
     cfg, _ = build_config(load_config(path))
-    # build_config solves the threshold equation, validate_config again
-    assert len(twin_calls) == 2
-    assert cfg.pen.a > 0.0
+    # ModelConfig solves the threshold equation once, in validate_config
+    assert len(twin_calls) == 1
+    assert cfg.a > 0.0
 
 
 @pytest.mark.parametrize("path", CONFIGS, ids=["2d", "1d"])
@@ -63,7 +63,7 @@ def test_nehari_mismatch_matches_scipy(path, twin_calls):
     cfg, settings = build_config(load_config(path))
     grid = grid_for_eps(cfg, cfg.eps, settings.points_per_dim)
     problem = NehariProblem.penalized(cfg, grid)
-    a, outside = cfg.pen.a, ~problem.in_lambda
+    a, outside = cfg.a, ~problem.in_lambda
     start = default_init(cfg, grid)
     twin_calls.clear()
     t0, _ = NehariMoments(problem, start).scale()

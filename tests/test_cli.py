@@ -280,13 +280,34 @@ class TestExitCodes:
         assert err.startswith("invalid parameters: m^2 must be a positive finite number")
         assert err.count("\n") == 1
 
-    @pytest.mark.parametrize("half_length", ["1e-300", "1e308"])
+    @pytest.mark.parametrize("half_length", ["1e-300", "1e308", "-5", "0"])
     def test_extreme_half_length_is_invalid(self, tmp_path, capsys, half_length):
-        # h^N underflows to 0 and (pi/h)^2 overflows, or h itself is inf
+        # h^N underflows to 0 and (pi/h)^2 overflows, or h itself is inf:
+        # the grid of solve rejects these; a box of no positive length is
+        # rejected with the config, by validate too
         p = write_cfg(tmp_path, open(CFG_2D).read() + f"grid.half_length = {half_length}\n")
-        assert main(["solve", "--config", p, "--out", str(tmp_path / "o")]) == EXIT_INVALID
+        commands = ["solve"] if float(half_length) > 0.0 else ["validate", "solve"]
+        for command in commands:
+            argv = [command, "--config", p]
+            if command == "solve":
+                argv += ["--out", str(tmp_path / "o")]
+            assert main(argv) == EXIT_INVALID
+            err = capsys.readouterr().err
+            assert err.startswith("invalid parameters:")
+            assert err.count("\n") == 1
+
+    @pytest.mark.parametrize("command", ["validate", "solve"])
+    @pytest.mark.parametrize("max_iterations", ["-3", "0"])
+    def test_max_iterations_below_one_is_invalid(self, tmp_path, capsys, command,
+                                                 max_iterations):
+        # a descent of no iterations would report NOT CONVERGED, exit 1
+        text = open(CFG_2D).read() + f"solver.max_iterations = {max_iterations}\n"
+        argv = [command, "--config", write_cfg(tmp_path, text)]
+        if command == "solve":
+            argv += ["--out", str(tmp_path / "o")]
+        assert main(argv) == EXIT_INVALID
         err = capsys.readouterr().err
-        assert err.startswith("invalid parameters:")
+        assert err.startswith("invalid parameters: solver.max_iterations")
         assert err.count("\n") == 1
 
     def test_solve_with_empty_start_is_a_numerical_failure(self, tmp_path, capsys):

@@ -3,6 +3,7 @@ and the energy and gradient that the solver's problem object builds
 from them."""
 
 import os
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -17,7 +18,6 @@ from frns.params import (
     AssumptionError,
     ModelConfig,
     NonlinearitySpec,
-    PenalizationSpec,
     PotentialSpec,
     solve_penalization_threshold,
     validate_config,
@@ -42,9 +42,7 @@ POT = PotentialSpec(
 
 
 def default_config(eps=0.25, kappa=10.0):
-    a = solve_penalization_threshold(FRAC, NL, POT.V1, kappa)
-    return ModelConfig(frac=FRAC, eps=eps, potential=POT, nonlin=NL,
-                       pen=PenalizationSpec(kappa=kappa, a=a))
+    return ModelConfig(frac=FRAC, eps=eps, potential=POT, nonlin=NL, kappa=kappa)
 
 
 class TestPotential:
@@ -92,11 +90,8 @@ class TestPotential:
             V1=0.2, V0=0.2, M_points=((4.0, 0.0),),
             lambda_center=(0.0, 0.0), lambda_radius=2.5,
         )
-        a = solve_penalization_threshold(FRAC, NL, 0.2, 10.0)
         with pytest.raises(AssumptionError):
-            cfg = ModelConfig(frac=FRAC, eps=0.25, potential=bad_pot, nonlin=NL,
-                              pen=PenalizationSpec(kappa=10.0, a=a))
-            validate_config(cfg)
+            ModelConfig(frac=FRAC, eps=0.25, potential=bad_pot, nonlin=NL, kappa=10.0)
 
     def test_validate_rejects_depth_at_or_above_m2s(self):
         bad_pot = PotentialSpec(
@@ -104,10 +99,7 @@ class TestPotential:
             lambda_center=(0.0, 0.0), lambda_radius=2.5,
         )
         with pytest.raises(AssumptionError):
-            a = solve_penalization_threshold(FRAC, NL, 1.0, 10.0)
-            cfg = ModelConfig(frac=FRAC, eps=0.25, potential=bad_pot, nonlin=NL,
-                              pen=PenalizationSpec(kappa=10.0, a=a))
-            validate_config(cfg)
+            ModelConfig(frac=FRAC, eps=0.25, potential=bad_pot, nonlin=NL, kappa=10.0)
 
 
 class TestPenalizationThreshold:
@@ -139,6 +131,19 @@ class TestPenalizationThreshold:
         assert a == pytest.approx(root, rel=1e-12)
 
 
+class TestDerivedThreshold:
+    def test_a_is_derived_from_the_config(self):
+        cfg = default_config()
+        assert cfg.a == solve_penalization_threshold(FRAC, NL, POT.V1, 10.0)
+        assert validate_config(cfg) == cfg.a
+        assert cfg.slope == POT.V1 / 10.0
+        # eps does not enter the threshold equation; kappa does
+        assert replace(cfg, eps=0.1).a == cfg.a
+        assert replace(cfg, kappa=20.0).a == solve_penalization_threshold(FRAC, NL, POT.V1, 20.0)
+        with pytest.raises(TypeError):
+            ModelConfig(frac=FRAC, eps=0.25, potential=POT, nonlin=NL, kappa=10.0, a=cfg.a)
+
+
 class TestPenalizedNonlinearity:
     def test_g_matches_f_inside(self):
         cfg = default_config()
@@ -149,15 +154,15 @@ class TestPenalizedNonlinearity:
 
     def test_g_linear_above_a_outside(self):
         cfg = default_config()
-        a = cfg.pen.a
+        a = cfg.a
         t = np.array([2 * a, 10 * a, 1.0])
         outside = np.zeros_like(t, dtype=bool)
-        ref = (cfg.potential.V1 / cfg.pen.kappa) * t
+        ref = (cfg.potential.V1 / cfg.kappa) * t
         assert np.allclose(g_eval(cfg, outside, t), ref, rtol=1e-14)
 
     def test_g_continuous_at_seam(self):
         cfg = default_config()
-        a = cfg.pen.a
+        a = cfg.a
         outside = np.zeros(1, dtype=bool)
         lo = g_eval(cfg, outside, np.array([a * (1 - 1e-9)]))[0]
         hi = g_eval(cfg, outside, np.array([a * (1 + 1e-9)]))[0]
@@ -183,31 +188,53 @@ class TestPenalizedNonlinearity:
         cfg = default_config()
         t = np.geomspace(1e-8, 100.0, 300)
         outside = np.zeros_like(t, dtype=bool)
-        bound = (cfg.potential.V1 / cfg.pen.kappa) * t
+        bound = (cfg.potential.V1 / cfg.kappa) * t
         assert np.all(g_eval(cfg, outside, t) <= bound * (1 + 1e-12))
 
     def test_G_is_primitive_of_g(self):
         cfg = default_config()
         for mask_val in (True, False):
-            for t_end in (0.5 * cfg.pen.a, 3.0 * cfg.pen.a, 1.5):
+            for t_end in (0.5 * cfg.a, 3.0 * cfg.a, 1.5):
                 mask = np.array([mask_val])
                 ref, err = quad(
                     lambda tt: g_eval(cfg, mask, np.array([tt]))[0], 0.0, t_end,
-                    points=[cfg.pen.a], limit=200,
+                    points=[cfg.a], limit=200,
                 )
                 assert err < 1e-12
                 got = G_eval(cfg, mask, np.array([t_end]))[0]
                 assert got == pytest.approx(ref, rel=1e-10)
+                # scalar x and t take the same branch
+                assert G_eval(cfg, mask_val, t_end) == got
+                assert g_eval(cfg, mask_val, t_end) == g_eval(cfg, mask, np.array([t_end]))[0]
+
+
+def test_autonomous_g_and_G_are_untruncated_bit_for_bit():
+    # a = inf leaves the pure f(t+) + (t+)^(2*-1) and its primitive
+    # everywhere, with no inf in any arithmetic
+    problem = NehariProblem.autonomous(
+        AutonomousConfig(mu=-0.2, frac=FRAC, nonlin=NL), Grid(2, 32, 8.0))
+    rng = np.random.default_rng(3)
+    t = rng.uniform(-2.0, 3.0, problem.grid.shape)
+    t.flat[::5] = 0.0
+    t.flat[1] = 1e10
+    assert np.any(t < 0.0) and np.any(t == 0.0) and np.any(t > 0.0)
+    tp = np.maximum(t, 0.0)
+    two_star = FRAC.two_star
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        g, G = problem.g(t), problem.G(t)
+    assert np.array_equal(g, NL.f(tp) + tp ** (two_star - 1.0))
+    assert np.array_equal(G, NL.F(tp) + tp**two_star / two_star)
 
 
 def _g_all_pow(config, in_lambda, t):
     """g(x, t) with every entry, zeros and negatives too, through pow."""
-    nl, pot, pen = config.nonlin, config.potential, config.pen
+    nl, pot = config.nonlin, config.potential
     t = np.asarray(t, dtype=float)
     tp = np.maximum(t, 0.0)
     full = nl.f(tp) + tp ** (config.two_star - 1.0)
-    linear = (pot.V1 / pen.kappa) * t
-    outside_high = np.logical_and(np.logical_not(in_lambda), t >= pen.a)
+    linear = (pot.V1 / config.kappa) * t
+    outside_high = np.logical_and(np.logical_not(in_lambda), t >= config.a)
     return np.where(outside_high, linear, full)
 
 
@@ -217,7 +244,7 @@ def test_g_skipping_pow_on_nonpositive_is_bit_equal(path):
     cfg, _ = build_config(load_config(path))
     grid = grid_for_eps(cfg, cfg.eps, 64)
     mask = lambda_mask(cfg, grid)
-    a = cfg.pen.a
+    a = cfg.a
     rng = np.random.default_rng(0)
     t = rng.permutation(np.linspace(-a, 3.0 * a, grid.total_points)).reshape(grid.shape)
     t.flat[::4] = 0.0

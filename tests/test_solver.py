@@ -13,10 +13,8 @@ from frns.operator import Field, Grid, estimate_s_star
 from frns.params import (
     ModelConfig,
     NonlinearitySpec,
-    PenalizationSpec,
     PotentialSpec,
     AssumptionError,
-    solve_penalization_threshold,
 )
 from frns.solver import (
     AutonomousConfig,
@@ -55,9 +53,7 @@ POT = PotentialSpec(
 
 
 def default_config(eps=0.25, kappa=10.0):
-    a = solve_penalization_threshold(FRAC, NL, POT.V1, kappa)
-    return ModelConfig(frac=FRAC, eps=eps, potential=POT, nonlin=NL,
-                       pen=PenalizationSpec(kappa=kappa, a=a))
+    return ModelConfig(frac=FRAC, eps=eps, potential=POT, nonlin=NL, kappa=kappa)
 
 
 @pytest.fixture(scope="module")
@@ -107,7 +103,7 @@ class TestNehariScale:
         penalized = NehariProblem.penalized(cfg, grid)
         autonomous = NehariProblem.autonomous(
             AutonomousConfig(mu=-0.2, frac=FRAC, nonlin=NL), grid)
-        a, outside = cfg.pen.a, ~penalized.in_lambda
+        a, outside = cfg.a, ~penalized.in_lambda
         rng = np.random.default_rng(9)
         u = gaussian_bump(grid, (-4.0, 0.0))
         # outside Lambda_eps: values in [a/2, 4a] on a third of the points,
@@ -124,7 +120,7 @@ class TestNehariScale:
             moments = NehariMoments(problem, u)
             quad = problem.quadratic(u)
             for t in ts:
-                pointwise = quad - hN * float(np.sum(problem.g(problem.in_lambda, t * u) * u)) / t
+                pointwise = quad - hN * float(np.sum(problem.g(t * u) * u)) / t
                 assert moments.mismatch(t) == pytest.approx(pointwise, rel=1e-12)
                 assert moments.energy(t) == pytest.approx(
                     problem.energy(u, quad, t), rel=1e-12)
@@ -178,7 +174,7 @@ class TestGroundState:
         cfg, _, res = solved
         report = verify_solution_region(res, cfg)
         assert report["below_threshold"]
-        assert report["max_outside_lambda"] < cfg.pen.a
+        assert report["max_outside_lambda"] < cfg.a
 
     def test_deterministic_for_fixed_seed(self, solved):
         cfg, grid, res = solved
@@ -414,9 +410,7 @@ class TestSymmetricWells:
         frac = FracParams(s=0.25, m=1.0, n_dim=1)
         pot = PotentialSpec(V1=0.2, V0=0.2, M_points=((-0.5,), (0.5,)),
                             lambda_center=(0.0,), lambda_radius=1.0)
-        a = solve_penalization_threshold(frac, NL, pot.V1, 10.0)
-        cfg = ModelConfig(frac=frac, eps=0.25, potential=pot, nonlin=NL,
-                          pen=PenalizationSpec(kappa=10.0, a=a))
+        cfg = ModelConfig(frac=frac, eps=0.25, potential=pot, nonlin=NL, kappa=10.0)
         res = ground_state(cfg, grid_for_eps(cfg, cfg.eps, 256))
         assert len(descents) == 1 and res.wells_descended == (0,)
 
@@ -452,7 +446,7 @@ class TestEvenBlockDescent:
         cfg = default_config()
         full = NehariProblem.penalized(cfg, GRID_64)
         block = full.even_block(axes)
-        a = cfg.pen.a
+        a = cfg.a
         rng = np.random.default_rng(len(axes) + axes[0])
         b = GRID_64.block(gaussian_bump(GRID_64, (-4.0, 0.0))
                           + gaussian_bump(GRID_64, (4.0, 0.0)), axes)
