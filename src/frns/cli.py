@@ -17,7 +17,6 @@ import json
 import math
 import os
 import sys
-from dataclasses import dataclass
 
 from . import __version__
 from .params import (
@@ -28,7 +27,11 @@ from .params import (
     NonlinearitySpec,
     NoPositivePartError,
     PotentialSpec,
+    RunSettings,
     Tolerances,
+    autonomous_box,
+    box_half_length,
+    check_run,
 )
 
 EXIT_PASS = 0
@@ -159,38 +162,15 @@ def config_hash(raw) -> str:
     return hashlib.sha256(canon.encode("utf-8")).hexdigest()
 
 
-@dataclass(frozen=True)
-class RunSettings:
-    """Everything beyond the ModelConfig that a run needs."""
-
-    points_per_dim: int
-    half_length: float  # 0 = derive from Lambda via grid_for_eps
-    tolerances: Tolerances
-    sweep_eps: tuple
-    sweep_points_per_dim: int
-    restarts: int = 1  # unused; only perfbench/worker.py still reads it
-
-
 def build_config(raw):
-    """Raw schema dict -> (ModelConfig, RunSettings).
-
-    Semantic violations surface as AssumptionError / DomainError (exit
-    code 2 territory): from the model layer, or for a set
-    `grid.half_length` <= 0 or a `solver.max_iterations` < 1.
+    """Raw schema dict -> (ModelConfig, RunSettings), checked by
+    `ModelConfig` and `params.check_run`: a violation raises
+    AssumptionError or DomainError (exit code 2) for every command that
+    builds a config, `validate` included.  An unset `grid.half_length` is
+    `params.box_half_length`.
     """
     raw = {key: raw.get(key, default) for key, (_, _, default) in _SCHEMA.items()}
-    half_length, max_it = raw["grid.half_length"], raw["solver.max_iterations"]
-    if half_length is not None and not half_length > 0.0:
-        raise DomainError(f"grid.half_length must be positive, got {half_length}")
-    if max_it < 1:
-        raise DomainError(f"solver.max_iterations must be at least 1, got {max_it}")
     frac = FracParams(s=raw["frac.s"], m=raw["frac.m"], n_dim=raw["frac.n_dim"])
-    n = frac.n_dim
-    if len(raw["potential.lambda_center"]) != n:
-        raise AssumptionError("(V2)", f"potential.lambda_center must have {n} coordinates")
-    for pnt in raw["potential.M_points"]:
-        if len(pnt) != n:
-            raise AssumptionError("(V2)", f"well {pnt} must have {n} coordinates")
     nonlin = NonlinearitySpec(
         lam=raw["nonlin.lam"], p=raw["nonlin.p"],
         ar_theta=raw["nonlin.ar_theta"], q=raw["nonlin.q"],
@@ -203,26 +183,19 @@ def build_config(raw):
     )
     cfg = ModelConfig(frac=frac, eps=raw["eps"], potential=pot, nonlin=nonlin,
                       kappa=raw["pen.kappa"])
+    half_length = raw["grid.half_length"]
     settings = RunSettings(
         points_per_dim=raw["grid.points_per_dim"],
-        half_length=half_length or 0.0,
+        half_length=box_half_length(cfg, cfg.eps) if half_length is None else half_length,
         tolerances=Tolerances(
             grad=raw["solver.grad_tol"],
-            max_iterations=max_it,
+            max_iterations=raw["solver.max_iterations"],
         ),
         sweep_eps=raw["sweep.eps"],
         sweep_points_per_dim=raw["sweep.points_per_dim"],
     )
+    check_run(cfg, settings)
     return cfg, settings
-
-
-def _grid_for(cfg, settings):
-    from .operator import Grid
-    from .solver import grid_for_eps
-
-    if settings.half_length > 0.0:
-        return Grid(cfg.frac.n_dim, settings.points_per_dim, settings.half_length)
-    return grid_for_eps(cfg, cfg.eps, settings.points_per_dim)
 
 
 # ---------------------------------------------------------------------------
@@ -390,7 +363,7 @@ def write_svg(path, xs, ys, title, xlabel, ylabel):
 
 def cmd_validate(args) -> int:
     raw = load_config(args.config)
-    build_config(raw)  # ModelConfig checks every assumption and derives a
+    build_config(raw)  # every rule of every command that builds a config
     for name in ("(V1)", "(V2)", "(f2)", "kappa bound", "threshold a"):
         print(f"verified {name}")
     print(f"config-hash {config_hash(raw)}")
@@ -443,10 +416,11 @@ def _kernel_checks(cfg):
     mass_err = float(np.max(np.abs(stack.slabs - expected)))
     checks.append(("poisson_kernel_mass", mass_err, 0.0, 1e-6))
 
-    # conormal derivative of the extension reproduces sigma_s * A u
+    # conormal derivative of the extension reproduces sigma_s * A u; it
+    # reads y = 0 and the four smallest positive levels alone
     table = build_symbol(grid, frac)
     bump = Field(grid=grid, values=np.exp(-grid.radii() ** 2))
-    flux, _ = conormal_derivative(extend(bump, frac), frac)
+    flux, _ = conormal_derivative(extend(bump, frac, stack.y_levels[:5]), frac)
     target = sig * apply_operator(bump, table).values
     rel = float(
         np.sqrt(np.sum((flux.values - target) ** 2) / np.sum(target**2))
@@ -503,13 +477,14 @@ def _select(row, columns, keys) -> tuple:
 def cmd_solve(args) -> int:
     import numpy as np
 
+    from .operator import Grid
     from .solver import ground_state, shell_envelope, solve_report
 
     raw = load_config(args.config)
     cfg, settings = build_config(raw)
     cfg_hash = config_hash(raw)
     os.makedirs(args.out, exist_ok=True)
-    grid = _grid_for(cfg, settings)
+    grid = Grid(cfg.frac.n_dim, settings.points_per_dim, settings.half_length)
     res = ground_state(cfg, grid, tolerances=settings.tolerances)
     report = solve_report(res, cfg)
 
@@ -547,32 +522,24 @@ def cmd_solve(args) -> int:
 
 def cmd_sweep(args) -> int:
     from .operator import Grid
-    from .solver import AutonomousConfig, autonomous_ground_state, concentration_sweep, grid_for_eps
+    from .solver import AutonomousConfig, autonomous_ground_state, concentration_sweep
 
     raw = load_config(args.config)
-    cfg, settings = build_config(raw)
     cfg_hash = config_hash(raw)
-    eps_list = tuple(args.eps) if args.eps else settings.sweep_eps
-    if len(eps_list) < 3:
-        print("sweep needs at least 3 eps values", file=sys.stderr)
-        return EXIT_INVALID
-    if not all(math.isfinite(e) and e > 0 for e in eps_list):
-        print("eps values must be positive and finite", file=sys.stderr)
-        return EXIT_INVALID
+    # an --eps list stands in for sweep.eps and passes the same checks
+    cfg, settings = build_config({**raw, "sweep.eps": tuple(args.eps)} if args.eps else raw)
     if args.jobs < 0:
         print("--jobs must be 0 (one per core) or positive", file=sys.stderr)
         return EXIT_INVALID
-    for eps in eps_list:  # a box that is no grid is invalid input, not a failed row
-        grid_for_eps(cfg, eps, settings.sweep_points_per_dim)
     os.makedirs(args.out, exist_ok=True)
 
     # eps-independent reference level d at constant potential -V0
     auto = AutonomousConfig(mu=-cfg.potential.V0, frac=cfg.frac, nonlin=cfg.nonlin)
-    d_grid = Grid(cfg.frac.n_dim, min(settings.sweep_points_per_dim, 128), 20.0 / cfg.frac.m)
+    d_grid = Grid(cfg.frac.n_dim, *autonomous_box(cfg, settings))
     d_res = autonomous_ground_state(auto, d_grid, tolerances=settings.tolerances)
 
     rows = concentration_sweep(
-        cfg, eps_list, points_per_dim=settings.sweep_points_per_dim,
+        cfg, settings.sweep_eps, points_per_dim=settings.sweep_points_per_dim,
         tolerances=settings.tolerances, jobs=args.jobs or (os.cpu_count() or 1),
     )
     header = _columns(

@@ -23,11 +23,9 @@ from math import gamma as Gamma, prod
 import numpy as np
 from numpy.fft import irfft, irfftn, rfft, rfftn
 
-from .params import DomainError, FracParams
+from .params import DomainError, FracParams, check_grid
 from .specfun import (bessel_k, half_line_rule, kernel_constants, sigma_s,
                       sobolev_trace_constant)
-
-MAX_TOTAL_POINTS = 2**22  # desk-scale cap
 
 
 class GridMismatchError(ValueError):
@@ -43,20 +41,7 @@ class Grid:
     half_length: float
 
     def __post_init__(self):
-        if self.n_dim not in (1, 2):
-            raise DomainError(f"n_dim must be 1 or 2, got {self.n_dim}")
-        n = self.points_per_dim
-        if n < 32 or (n & (n - 1)) != 0:
-            raise DomainError(f"points_per_dim must be a power of two >= 32, got {n}")
-        h = np.float64(self.spacing)  # h^N weights every sum; (pi/h)^2 is the top |k|^2
-        with np.errstate(all="ignore"):
-            if not (h > 0.0 and 0.0 < h**self.n_dim < np.inf and 0.0 < (np.pi / h) ** 2 < np.inf):
-                raise DomainError(f"half_length {self.half_length}: h^N or (pi/h)^2 is not "
-                                  "a positive finite number")
-        if n**self.n_dim > MAX_TOTAL_POINTS:
-            raise DomainError(
-                f"total points {n**self.n_dim} exceed desk-scale cap {MAX_TOTAL_POINTS}"
-            )
+        check_grid(self.n_dim, self.points_per_dim, self.half_length)
 
     @property
     def spacing(self) -> float:
@@ -311,7 +296,9 @@ def estimate_s_star(frac: FracParams) -> dict:
     axes = tuple(range(N))
     rho_values = np.geomspace(0.02, 2.0, 16)
     two_star = frac.two_star
-    r = grid.block(grid.radii(), axes)
+    # |x| on the block, the squares summed in `Grid.radii`'s order: the same bits
+    x2 = grid.block(grid.axis(), (0,)) ** 2
+    r = np.sqrt(sum(x2.reshape((-1,) + (1,) * (N - 1 - j)) for j in range(N)))
     r2 = r * r
     form = KernelTable(grid, grid.half_k_squared() ** s).even_block(axes).form
     L = grid.half_length

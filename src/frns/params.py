@@ -3,7 +3,8 @@
 The fractional order, the potential and nonlinearity specs, the joint
 check of the paper's hypotheses ((V1), (V2), (f2) and the kappa bound),
 the penalization threshold a that the check derives, the descent's
-stopping rule and Brent's root finder.
+stopping rule, Brent's root finder, and the one gate on the grids,
+boxes and solver settings of a run (`check_run`).
 
 The module imports the standard library alone, so a command that only
 validates a config (`frns validate`) starts without numpy; the array
@@ -299,6 +300,9 @@ def validate_config(cfg: "ModelConfig") -> float:
             "(V1)", "this potential family attains its global infimum -V0 inside "
             "Lambda; -V1 = inf V requires V1 == V0"
         )
+    for pnt in (pot.lambda_center,) + pot.M_points:
+        if len(pnt) != frac.n_dim:
+            raise AssumptionError("(V2)", f"point {pnt} must have {frac.n_dim} coordinates")
     # every designated minimum lies strictly inside Lambda, at depth -V0
     for pnt in pot.M_points:
         if not math.dist(pnt, pot.lambda_center) < pot.lambda_radius:
@@ -332,7 +336,7 @@ def validate_config(cfg: "ModelConfig") -> float:
 
 
 # ---------------------------------------------------------------------------
-# solver settings and failures
+# run settings, the gate on them and failures
 
 
 @dataclass(frozen=True)
@@ -344,6 +348,78 @@ class Tolerances:
 
     grad: float = 1e-6          # relative max-norm of the projected (KKT) gradient
     max_iterations: int = 20000
+
+
+@dataclass(frozen=True)
+class RunSettings:
+    """Everything beyond the ModelConfig that a run needs."""
+
+    points_per_dim: int
+    half_length: float  # box of the configured eps; `box_half_length` unless set
+    tolerances: Tolerances
+    sweep_eps: tuple
+    sweep_points_per_dim: int
+    restarts: int = 1  # unused; only perfbench/worker.py still reads it
+
+
+def check_grid(n_dim: int, points_per_dim: int, half_length: float):
+    """Raise DomainError unless [-L, L)^N with n points per axis is a grid:
+    N is 1 or 2, n a power of two >= 32 with n^N within the desk-scale
+    cap, and h = 2L/n > 0 with h^N (the weight of every sum) and (pi/h)^2
+    (the top |k|^2) positive and finite."""
+    n = points_per_dim
+    if n_dim not in (1, 2):
+        raise DomainError(f"n_dim must be 1 or 2, got {n_dim}")
+    if n < 32 or (n & (n - 1)) != 0:
+        raise DomainError(f"points_per_dim must be a power of two >= 32, got {n}")
+    if n**n_dim > 2**22:  # desk-scale cap
+        raise DomainError(f"total points {n**n_dim} exceed desk-scale cap {2**22}")
+    h = 2.0 * float(half_length) / n
+    if not (h > 0.0 and 0.0 < math.prod([h] * n_dim) < math.inf
+            and 0.0 < (math.pi / h) * (math.pi / h) < math.inf):
+        raise DomainError(f"half_length {half_length}: need h = 2L/n > 0 with h^N and "
+                          "(pi/h)^2 positive and finite")
+
+
+def box_half_length(cfg: ModelConfig, eps: float) -> float:
+    """Half-length of a box holding Lambda/eps plus a decay margin of 8."""
+    pot = cfg.potential
+    L = (math.sqrt(sum(c * c for c in pot.lambda_center)) + pot.lambda_radius) / eps + 8.0
+    if not L < math.inf:
+        raise DomainError(f"Lambda (centre {pot.lambda_center}, radius {pot.lambda_radius}) "
+                          f"has no finite box Lambda/eps + 8 at eps = {eps}")
+    return L
+
+
+def autonomous_box(cfg: ModelConfig, settings: RunSettings) -> tuple:
+    """(points per axis, half-length) of the grid of `frns sweep`'s d_V0."""
+    return min(settings.sweep_points_per_dim, 128), 20.0 / cfg.frac.m
+
+
+def check_run(cfg: ModelConfig, settings: RunSettings):
+    """Raise DomainError on the first run setting that a command would
+    reject: a stopping rule the descent cannot meet, fewer than 3 positive
+    sweep eps, or a grid that `check_grid` rejects or a well lies outside
+    of, among the grids of the configured eps, each sweep eps and d_V0."""
+    tol, eps_list, n_dim = settings.tolerances, settings.sweep_eps, cfg.frac.n_dim
+    if not tol.grad > 0.0:
+        raise DomainError(f"solver.grad_tol must be positive, got {tol.grad}")
+    if tol.max_iterations < 1:
+        raise DomainError(f"solver.max_iterations must be at least 1, got {tol.max_iterations}")
+    if len(eps_list) < 3 or not all(0.0 < e < math.inf for e in eps_list):
+        raise DomainError(f"sweep.eps needs at least 3 positive finite values, got {eps_list}")
+
+    def check_box(eps, n, L):
+        check_grid(n_dim, n, L)
+        for j, point in enumerate(cfg.potential.M_points):
+            if not all(abs(c / eps) <= L for c in point):
+                raise DomainError(f"well {j} at {point} lies outside the box [-{L}, {L}]^{n_dim} "
+                                  f"after the blow-up x = M/eps (eps = {eps})")
+
+    check_box(cfg.eps, settings.points_per_dim, settings.half_length)
+    for eps in eps_list:
+        check_box(eps, settings.sweep_points_per_dim, box_half_length(cfg, eps))
+    check_grid(n_dim, *autonomous_box(cfg, settings))
 
 
 class NoPositivePartError(ValueError):

@@ -31,6 +31,7 @@ from .params import (
     NonlinearitySpec,
     NoPositivePartError,
     Tolerances,
+    box_half_length,
     brentq,
 )
 from .specfun import sobolev_trace_constant
@@ -500,28 +501,14 @@ def ground_state(
     (`default_init`), or once at `init` when given; `_best_descent`
     picks the run.  A well that a grid symmetry of V and Lambda maps
     onto an earlier well shares its descent (`_distinct_wells`).  Every
-    well must lie in the box (`check_wells_in_box`).
+    well must lie in the box, as `params.check_run` ensures for a config.
     """
-    check_wells_in_box(config, grid)
     problem = NehariProblem.penalized(config, grid)
     if init is not None:
         return _best_descent(problem, [init], tolerances)
     wells = _distinct_wells(problem, config.potential.M_points)
     result = _best_descent(problem, (default_init(config, grid, k) for k in wells), tolerances)
     return replace(result, wells_descended=tuple(wells))
-
-
-def check_wells_in_box(config: ModelConfig, grid: Grid):
-    """Raise a DomainError naming the first well whose blow-up M_j / eps
-    lies outside the box of `grid`, before its squared distances to the
-    grid points can overflow."""
-    L = grid.half_length
-    for j, point in enumerate(config.potential.M_points):
-        blown_up = tuple(c / config.eps for c in point)
-        if not all(abs(c) <= L for c in blown_up):
-            raise DomainError(
-                f"well {j} at {point} lies at {blown_up} after the blow-up x = M/eps "
-                f"(eps = {config.eps}), outside the box [-{L}, {L}]^{grid.n_dim}")
 
 
 def _reflect(a: np.ndarray, axes) -> np.ndarray:
@@ -763,11 +750,8 @@ def dist_to_wells(point, M_points) -> float:
 
 
 def grid_for_eps(config: ModelConfig, eps: float, points_per_dim: int) -> Grid:
-    """Box large enough to hold Lambda/eps plus an exponential-decay margin of 8."""
-    pot = config.potential
-    center_reach = np.sqrt(sum(c * c for c in pot.lambda_center))
-    L = (center_reach + pot.lambda_radius) / eps + 8.0
-    return Grid(config.frac.n_dim, points_per_dim, L)
+    """The grid on the box Lambda/eps + 8 of `params.box_half_length`."""
+    return Grid(config.frac.n_dim, points_per_dim, box_half_length(config, eps))
 
 
 def concentration_sweep(

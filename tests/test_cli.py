@@ -1,6 +1,8 @@
 """CLI layer: config parsing, exit codes, artifact emission, determinism."""
 
+import contextlib
 import csv
+import io
 import json
 import os
 import platform
@@ -11,12 +13,13 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 import frns.cli as cli
 import frns.solver as solver
 import frns.specfun as specfun
 from frns.operator import Grid
+from frns.params import AssumptionError, DomainError, autonomous_box
 from frns.cli import (
     EXIT_INVALID,
     EXIT_NUMERICAL,
@@ -259,14 +262,18 @@ class TestExitCodes:
         assert err.startswith("invalid parameters: (V2)")
         assert err.count("\n") == 1
 
-    def test_huge_lambda_radius_validates_without_warnings(self, tmp_path, capsys):
+    def test_huge_lambda_radius_is_invalid_without_warnings(self, tmp_path, capsys):
+        # (V2) holds, but the box Lambda/eps + 8 that solve and sweep
+        # would sample overflows
         text = open(CFG_2D).read().replace(
             "potential.lambda_radius = 2.5", "potential.lambda_radius = 1e308")
         p = write_cfg(tmp_path, text)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            assert main(["validate", "--config", p]) == EXIT_PASS
-        assert capsys.readouterr().err == ""
+            assert main(["validate", "--config", p]) == EXIT_INVALID
+        err = capsys.readouterr().err
+        assert err.startswith("invalid parameters: Lambda (centre (0.0, 0.0), radius 1e+308)")
+        assert err.count("\n") == 1
 
     @pytest.mark.parametrize("command", ["validate", "solve"])
     def test_mass_with_infinite_square_is_invalid(self, tmp_path, capsys, command):
@@ -282,12 +289,10 @@ class TestExitCodes:
 
     @pytest.mark.parametrize("half_length", ["1e-300", "1e308", "-5", "0"])
     def test_extreme_half_length_is_invalid(self, tmp_path, capsys, half_length):
-        # h^N underflows to 0 and (pi/h)^2 overflows, or h itself is inf:
-        # the grid of solve rejects these; a box of no positive length is
-        # rejected with the config, by validate too
+        # h^N underflows to 0 and (pi/h)^2 overflows, or h itself is inf,
+        # or the box has no positive length: rejected with the config
         p = write_cfg(tmp_path, open(CFG_2D).read() + f"grid.half_length = {half_length}\n")
-        commands = ["solve"] if float(half_length) > 0.0 else ["validate", "solve"]
-        for command in commands:
+        for command in ["validate", "solve"]:
             argv = [command, "--config", p]
             if command == "solve":
                 argv += ["--out", str(tmp_path / "o")]
@@ -344,19 +349,18 @@ class TestExitCodes:
         # the well (-1, 0) at eps = 0.01 sits at x = -100, outside [-5, 5]^2
         ("solve", "-1 0", "0 0", "0.01"),
         # (1e200, 0) sits at 4e200, whose squared distances overflow on
-        # the grid; the sweep's boxes, which hold Lambda/eps, are not finite
+        # the grid; the box of the configured eps is checked first
         ("solve", "1e200 0", "1e200 0", "0.25"),
         ("sweep", "1e200 0", "1e200 0", "0.25"),
     ])
     def test_well_outside_the_box_is_invalid(self, tmp_path, capsys, command, well, center, eps):
-        # no array is built: no overflow warning, no output, exit 2
+        # no array is built: no overflow warning, no output, exit 2, and
+        # validate rejects the config with the same line
         text = open(CFG_2D).read().replace("potential.M_points = -1 0; 1 0",
                                            f"potential.M_points = {well}")
         text = text.replace("potential.lambda_center = 0 0", f"potential.lambda_center = {center}")
         p = write_cfg(tmp_path, text.replace("eps = 0.25", f"eps = {eps}")
                       + "grid.half_length = 5\n")
-        assert main(["validate", "--config", p]) == EXIT_PASS
-        capsys.readouterr()
         out = tmp_path / "o"
         with warnings.catch_warnings():
             warnings.simplefilter("error")
@@ -364,9 +368,10 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert code == EXIT_INVALID
         assert err.startswith("invalid parameters:") and err.count("\n") == 1
-        if command == "solve":
-            assert "well 0 at" in err and "outside the box [-5.0, 5.0]^2" in err
+        assert "well 0 at" in err and "outside the box [-5.0, 5.0]^2" in err
         assert not (out / "manifest.json").exists()
+        assert main(["validate", "--config", p]) == EXIT_INVALID
+        assert capsys.readouterr().err == err
 
     def test_unconverged_solve_is_a_numerical_failure(self, tmp_path, capsys):
         # grad_tol = 1e-16 is out of reach: the descent ends unconverged
@@ -379,24 +384,80 @@ class TestExitCodes:
         rows = read_rows(os.path.join(out, "diagnostics.csv"))
         assert dict(zip(rows[0], rows[1]))["converged"] == "false"
 
-    def test_sweep_needs_three_eps(self, tmp_path):
+    def test_sweep_needs_three_eps(self, tmp_path, capsys):
         code = main([
             "sweep", "--config", CFG_2D, "--out", str(tmp_path / "o"),
             "--eps", "0.5", "0.25",
         ])
         assert code == EXIT_INVALID
+        assert "sweep.eps needs at least 3 positive finite values" in capsys.readouterr().err
 
-    def test_sweep_rejects_non_finite_eps(self, tmp_path):
+    def test_sweep_rejects_non_finite_eps(self, tmp_path, capsys):
         code = main([
             "sweep", "--config", CFG_2D, "--out", str(tmp_path / "o"),
             "--eps", "0.5", "nan", "0.1",
         ])
         assert code == EXIT_INVALID
+        assert "sweep.eps needs at least 3 positive finite values" in capsys.readouterr().err
 
     def test_sweep_rejects_negative_jobs(self, tmp_path, capsys):
         code = main(["sweep", "--config", CFG_2D, "--out", str(tmp_path / "o"), "--jobs", "-1"])
         assert code == EXIT_INVALID
         assert "--jobs" in capsys.readouterr().err
+
+
+# Changes to the shipped 2D config that `validate` once accepted and a
+# later command rejected: (replaced lines, appended text, part of the one
+# error line)
+GATE_CASES = {
+    "points_per_dim_30": ({"grid.points_per_dim = 128": "grid.points_per_dim = 30"}, "",
+                          "points_per_dim must be a power of two >= 32, got 30"),
+    "half_length_1e-300": ({"grid.points_per_dim = 128": "grid.points_per_dim = 64"},
+                           "grid.half_length = 1e-300\n", "half_length 1e-300: need h = 2L/n > 0"),
+    # a descent that can never converge: solve ran to "NOT CONVERGED", exit 1
+    "grad_tol_0": ({}, "solver.grad_tol = 0\n", "solver.grad_tol must be positive, got 0.0"),
+    "grad_tol_-1": ({}, "solver.grad_tol = -1\n", "solver.grad_tol must be positive, got -1.0"),
+    "n_dim_3": ({"frac.n_dim = 2": "frac.n_dim = 3",
+                 "potential.M_points = -1 0; 1 0": "potential.M_points = -1 0 0; 1 0 0",
+                 "potential.lambda_center = 0 0": "potential.lambda_center = 0 0 0",
+                 "nonlin.p = 3.0": "nonlin.p = 2.5", "nonlin.ar_theta = 3.0": "nonlin.ar_theta = 2.5",
+                 "nonlin.q = 3.5": "nonlin.q = 2.8"}, "", "n_dim must be 1 or 2, got 3"),
+    "sweep_points_per_dim_48": ({"sweep.points_per_dim = 256": "sweep.points_per_dim = 48"}, "",
+                                "points_per_dim must be a power of two >= 32, got 48"),
+    "sweep_eps_negative": ({"sweep.eps = 0.5, 0.25, 0.1": "sweep.eps = 0.5, -0.25, 0.1"}, "",
+                           "sweep.eps needs at least 3 positive finite values"),
+    "sweep_eps_two": ({"sweep.eps = 0.5, 0.25, 0.1": "sweep.eps = 0.5, 0.25"}, "",
+                      "sweep.eps needs at least 3 positive finite values"),
+    # the squared centre overflows: the message names Lambda, not a box of inf
+    "wells_at_1e200": ({"potential.M_points = -1 0; 1 0": "potential.M_points = 1e200 0",
+                        "potential.lambda_center = 0 0": "potential.lambda_center = 1e200 0"},
+                       "", "Lambda (centre (1e+200, 0.0), radius 2.5)"),
+}
+
+
+class TestOneGate:
+    @pytest.mark.parametrize("case", sorted(GATE_CASES))
+    def test_every_command_rejects_what_validate_rejects(self, tmp_path, capsys, case):
+        # each command stops at the config, before any array or output
+        replaced, appended, message = GATE_CASES[case]
+        text = open(CFG_2D).read()
+        for old, new in replaced.items():
+            assert old in text
+            text = text.replace(old, new)
+        p = write_cfg(tmp_path, text + appended)
+        errors = {}
+        for command in ("validate", "solve", "sweep", "kernels"):
+            out = tmp_path / command
+            argv = ["--config", p] + (["--out", str(out)] if command != "validate" else [])
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                assert main([command] + argv) == EXIT_INVALID, command
+            errors[command] = capsys.readouterr().err
+            assert not out.exists()
+        err = errors.pop("validate")
+        assert err.startswith("invalid parameters: ") and err.count("\n") == 1
+        assert message in err
+        assert errors == dict.fromkeys(errors, err)
 
 
 class TestWriteCsv:
@@ -689,3 +750,68 @@ def test_non_finite_number_is_a_parse_error_on_its_line(line, data, bad, cfg_dir
         load_config(path)
     assert exc.value.line_no == line_no
     assert main(["validate", "--config", path]) == EXIT_PARSE
+
+
+# the numeric keys of the schema, and values at the edges of the rules:
+# zero, negatives, the float extremes, non-powers of two and the grid cap.
+# A half-length of 1 leaves the 2D wells outside the box; m = 1e154 passes
+# every rule but the (pi/h)^2 of the d_V0 grid of sweep.  An int key reads
+# an integral float as an int and any other as a parse error.
+SCALAR_KEYS = sorted(key for key, (kind, _, _) in cli._SCHEMA.items() if kind in ("float", "int"))
+EDGE_VALUES = [0.0, -0.0, -1.0, 1.0, 3.0, 1e-300, -1e-300, 1e300, -1e300, 5e-324, 1e154,
+               -64, 30, 48, 100, 4096, 2**22, 2**23]
+
+
+def run_main(argv):
+    """(exit code, stderr) of `main(argv)`."""
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
+        code = main(argv)
+    return code, err.getvalue()
+
+
+def with_edge_examples(test):
+    for value in EDGE_VALUES:
+        test = example(value=value)(test)
+    return test
+
+
+@pytest.mark.parametrize("key", SCALAR_KEYS)
+@settings(max_examples=15, deadline=None)
+@given(value=st.sampled_from(EDGE_VALUES) | st.integers(-(2**40), 2**40) | FINITE)
+@with_edge_examples
+def test_validate_exits_as_building_the_config_and_its_grids(key, value, cfg_dir):
+    # each shipped config with `key` set to `value`; never solves: a valid
+    # config only builds its grids, which hold no arrays
+    for path in (CFG_1D, CFG_2D):
+        lines = [line for line in open(path).read().splitlines()
+                 if line.partition("=")[0].strip() != key]
+        cfg_path = write_cfg(cfg_dir, "\n".join(lines + [f"{key} = {value!r}"]) + "\n")
+        code, err = run_main(["validate", "--config", cfg_path])
+        try:
+            cfg, settings = build_config(load_config(cfg_path))
+            n_dim = cfg.frac.n_dim
+            boxes = [(cfg.eps, Grid(n_dim, settings.points_per_dim, settings.half_length))]
+            boxes += [(e, solver.grid_for_eps(cfg, e, settings.sweep_points_per_dim))
+                      for e in settings.sweep_eps]
+            Grid(n_dim, *autonomous_box(cfg, settings))
+            built = EXIT_PASS
+        except cli.ConfigError:
+            built = EXIT_PARSE
+        except (AssumptionError, DomainError):
+            built = EXIT_INVALID
+        except (ArithmeticError, RuntimeError):
+            built = EXIT_NUMERICAL
+        assert code == built
+        if code == EXIT_PASS:
+            # what the commands would run on: every well in every box, a
+            # reachable stopping rule and a sweep of at least 3 eps
+            assert all(abs(c / eps) <= grid.half_length for eps, grid in boxes
+                       for point in cfg.potential.M_points for c in point)
+            assert settings.tolerances.grad > 0.0 and settings.tolerances.max_iterations >= 1
+            assert len(settings.sweep_eps) >= 3
+        else:
+            out = os.path.join(cfg_dir, "never")
+            for command in ("solve", "sweep", "kernels"):
+                assert run_main([command, "--config", cfg_path, "--out", out]) == (code, err)
+            assert not os.path.exists(out)
