@@ -85,13 +85,11 @@ def _parse_scalar(kind, text, line_no):
         raise ConfigError(f"cannot parse {text!r} as {kind}", line_no)
     if not math.isfinite(val):
         raise ConfigError(f"{text!r} is not a finite number", line_no)
-    if kind == "float":
-        return val
     if kind == "int":
         if val != int(val):
             raise ConfigError(f"cannot parse {text!r} as {kind}", line_no)
         return int(val)
-    raise ConfigError(f"unknown value kind {kind!r}", line_no)
+    return val
 
 
 def _parse_value(kind, text, line_no):

@@ -296,9 +296,7 @@ def estimate_s_star(frac: FracParams) -> dict:
     axes = tuple(range(N))
     rho_values = np.geomspace(0.02, 2.0, 16)
     two_star = frac.two_star
-    # |x| on the block, the squares summed in `Grid.radii`'s order: the same bits
-    x2 = grid.block(grid.axis(), (0,)) ** 2
-    r = np.sqrt(sum(x2.reshape((-1,) + (1,) * (N - 1 - j)) for j in range(N)))
+    r = grid.block(grid.radii(), axes)
     r2 = r * r
     form = KernelTable(grid, grid.half_k_squared() ** s).even_block(axes).form
     L = grid.half_length

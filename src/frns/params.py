@@ -399,8 +399,10 @@ def autonomous_box(cfg: ModelConfig, settings: RunSettings) -> tuple:
 def check_run(cfg: ModelConfig, settings: RunSettings):
     """Raise DomainError on the first run setting that a command would
     reject: a stopping rule the descent cannot meet, fewer than 3 positive
-    sweep eps, or a grid that `check_grid` rejects or a well lies outside
-    of, among the grids of the configured eps, each sweep eps and d_V0."""
+    sweep eps, a grid that `check_grid` rejects among the grids of the
+    configured eps, each sweep eps and d_V0, or a well outside the box of
+    the configured eps (under (V2) only a set `grid.half_length` can be
+    too small for one)."""
     tol, eps_list, n_dim = settings.tolerances, settings.sweep_eps, cfg.frac.n_dim
     if not tol.grad > 0.0:
         raise DomainError(f"solver.grad_tol must be positive, got {tol.grad}")
@@ -408,17 +410,14 @@ def check_run(cfg: ModelConfig, settings: RunSettings):
         raise DomainError(f"solver.max_iterations must be at least 1, got {tol.max_iterations}")
     if len(eps_list) < 3 or not all(0.0 < e < math.inf for e in eps_list):
         raise DomainError(f"sweep.eps needs at least 3 positive finite values, got {eps_list}")
-
-    def check_box(eps, n, L):
-        check_grid(n_dim, n, L)
-        for j, point in enumerate(cfg.potential.M_points):
-            if not all(abs(c / eps) <= L for c in point):
-                raise DomainError(f"well {j} at {point} lies outside the box [-{L}, {L}]^{n_dim} "
-                                  f"after the blow-up x = M/eps (eps = {eps})")
-
-    check_box(cfg.eps, settings.points_per_dim, settings.half_length)
+    L = settings.half_length
+    check_grid(n_dim, settings.points_per_dim, L)
+    for j, point in enumerate(cfg.potential.M_points):
+        if not all(abs(c / cfg.eps) <= L for c in point):
+            raise DomainError(f"well {j} at {point} lies outside the box [-{L}, {L}]^{n_dim} "
+                              f"after the blow-up x = M/eps (eps = {cfg.eps})")
     for eps in eps_list:
-        check_box(eps, settings.sweep_points_per_dim, box_half_length(cfg, eps))
+        check_grid(n_dim, settings.sweep_points_per_dim, box_half_length(cfg, eps))
     check_grid(n_dim, *autonomous_box(cfg, settings))
 
 

@@ -204,19 +204,6 @@ def richardson(vals, ys, orders):
     return vals[0]
 
 
-def kappa_s_limit(s):
-    """-lim_{y->0} y^(1-2s) theta'(y), by Richardson extrapolation.
-
-    The small-argument expansion of theta gives
-    -y^(1-2s) theta'(y) = kappa_s + O(y^(2-2s)) + O(y^2) + O(y^(4-2s)),
-    so we extrapolate on the geometric ladder 1e-3 / 2^j, j = 0..5,
-    eliminating those three orders in turn (`richardson`).
-    """
-    ys = 1e-3 / 2.0 ** np.arange(6)
-    vals = -ys ** (1.0 - 2.0 * s) * theta_profile_deriv(s, ys)
-    return float(richardson(vals, ys, (2.0 - 2.0 * s, 2.0, 4.0 - 2.0 * s)))
-
-
 def half_line_rule():
     """Nodes y and weights w with sum(w f(y)) ~ int_0^inf f(y) dy.
 

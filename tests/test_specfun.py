@@ -15,8 +15,8 @@ from frns.specfun import (
     FracParams,
     bessel_k,
     kappa_s,
-    kappa_s_limit,
     kernel_constants,
+    richardson,
     sigma_s,
     sobolev_trace_constant,
     theta_profile,
@@ -24,6 +24,19 @@ from frns.specfun import (
 )
 
 S_VALUES = [0.25, 0.4, 0.5, 0.6, 0.75]
+
+
+def kappa_s_limit(s):
+    """-lim_{y->0} y^(1-2s) theta'(y), by Richardson extrapolation.
+
+    The small-argument expansion of theta gives
+    -y^(1-2s) theta'(y) = kappa_s + O(y^(2-2s)) + O(y^2) + O(y^(4-2s)),
+    so we extrapolate on the geometric ladder 1e-3 / 2^j, j = 0..5,
+    eliminating those three orders in turn (`richardson`).
+    """
+    ys = 1e-3 / 2.0 ** np.arange(6)
+    vals = -ys ** (1.0 - 2.0 * s) * theta_profile_deriv(s, ys)
+    return float(richardson(vals, ys, (2.0 - 2.0 * s, 2.0, 4.0 - 2.0 * s)))
 
 
 def bessel_k_oracle(nu, x):
