@@ -523,9 +523,11 @@ def cmd_sweep(args) -> int:
     from .solver import AutonomousConfig, autonomous_ground_state, concentration_sweep
 
     raw = load_config(args.config)
+    # an --eps list stands in for sweep.eps, passes the same checks and is hashed
+    if args.eps:
+        raw = {**raw, "sweep.eps": tuple(args.eps)}
     cfg_hash = config_hash(raw)
-    # an --eps list stands in for sweep.eps and passes the same checks
-    cfg, settings = build_config({**raw, "sweep.eps": tuple(args.eps)} if args.eps else raw)
+    cfg, settings = build_config(raw)
     if args.jobs < 0:
         print("--jobs must be 0 (one per core) or positive", file=sys.stderr)
         return EXIT_INVALID
@@ -561,7 +563,8 @@ def cmd_sweep(args) -> int:
         "concentration at the wells", "eps", "dist(eps x_max, M)",
     )
     outputs.append(svg_path)
-    outputs.append(write_manifest(args.out, cfg_hash, args.seed, outputs))
+    outputs.append(write_manifest(args.out, cfg_hash, args.seed, outputs,
+                                  eps=list(settings.sweep_eps)))
     any_fail = not all(r["converged"] for r in rows)
     return EXIT_NUMERICAL if any_fail else EXIT_PASS
 

@@ -362,22 +362,25 @@ class RunSettings:
     restarts: int = 1  # unused; only perfbench/worker.py still reads it
 
 
-def check_grid(n_dim: int, points_per_dim: int, half_length: float):
+def check_grid(n_dim: int, points_per_dim: int, half_length: float,
+               points_key: str = "points_per_dim", box_key: str = "half_length"):
     """Raise DomainError unless [-L, L)^N with n points per axis is a grid:
     N is 1 or 2, n a power of two >= 32 with n^N within the desk-scale
     cap, and h = 2L/n > 0 with h^N (the weight of every sum) and (pi/h)^2
-    (the top |k|^2) positive and finite."""
+    (the top |k|^2) positive and finite.  The messages name n and L by
+    `points_key` and `box_key`, the config keys or boxes they came from."""
     n = points_per_dim
     if n_dim not in (1, 2):
         raise DomainError(f"n_dim must be 1 or 2, got {n_dim}")
     if n < 32 or (n & (n - 1)) != 0:
-        raise DomainError(f"points_per_dim must be a power of two >= 32, got {n}")
+        raise DomainError(f"{points_key} must be a power of two >= 32, got {n}")
     if n**n_dim > 2**22:  # desk-scale cap
-        raise DomainError(f"total points {n**n_dim} exceed desk-scale cap {2**22}")
+        raise DomainError(f"{points_key} = {n}: total points {n**n_dim} exceed "
+                          f"desk-scale cap {2**22}")
     h = 2.0 * float(half_length) / n
     if not (h > 0.0 and 0.0 < math.prod([h] * n_dim) < math.inf
             and 0.0 < (math.pi / h) * (math.pi / h) < math.inf):
-        raise DomainError(f"half_length {half_length}: need h = 2L/n > 0 with h^N and "
+        raise DomainError(f"{box_key} = {half_length}: need h = 2L/n > 0 with h^N and "
                           "(pi/h)^2 positive and finite")
 
 
@@ -400,7 +403,8 @@ def check_run(cfg: ModelConfig, settings: RunSettings):
     """Raise DomainError on the first run setting that a command would
     reject: a stopping rule the descent cannot meet, fewer than 3 positive
     sweep eps, a grid that `check_grid` rejects among the grids of the
-    configured eps, each sweep eps and d_V0, or a well outside the box of
+    configured eps, each sweep eps and d_V0 (its message names the key or
+    the eps the grid came from), or a well outside the box of
     the configured eps (under (V2) only a set `grid.half_length` can be
     too small for one)."""
     tol, eps_list, n_dim = settings.tolerances, settings.sweep_eps, cfg.frac.n_dim
@@ -411,14 +415,17 @@ def check_run(cfg: ModelConfig, settings: RunSettings):
     if len(eps_list) < 3 or not all(0.0 < e < math.inf for e in eps_list):
         raise DomainError(f"sweep.eps needs at least 3 positive finite values, got {eps_list}")
     L = settings.half_length
-    check_grid(n_dim, settings.points_per_dim, L)
+    check_grid(n_dim, settings.points_per_dim, L, "grid.points_per_dim",
+               f"grid.half_length (eps {cfg.eps})")
     for j, point in enumerate(cfg.potential.M_points):
         if not all(abs(c / cfg.eps) <= L for c in point):
             raise DomainError(f"well {j} at {point} lies outside the box [-{L}, {L}]^{n_dim} "
                               f"after the blow-up x = M/eps (eps = {cfg.eps})")
     for eps in eps_list:
-        check_grid(n_dim, settings.sweep_points_per_dim, box_half_length(cfg, eps))
-    check_grid(n_dim, *autonomous_box(cfg, settings))
+        check_grid(n_dim, settings.sweep_points_per_dim, box_half_length(cfg, eps),
+                   "sweep.points_per_dim", f"sweep box half_length (eps {eps})")
+    check_grid(n_dim, *autonomous_box(cfg, settings), "sweep.points_per_dim (d_V0 grid)",
+               "d_V0 box half_length 20/frac.m")
 
 
 class NoPositivePartError(ValueError):

@@ -15,6 +15,7 @@ potential term and in whether the nonlinearity is truncated.
 
 import math
 from dataclasses import dataclass, replace
+from functools import cached_property
 from itertools import permutations, product
 from typing import Optional, Sequence
 
@@ -159,13 +160,32 @@ class NehariProblem:
         """sum a b over the full grid, without the factor h^N."""
         return float(np.vdot(self.weight * a, b))
 
+    @cached_property
+    def weight_in(self) -> np.ndarray:
+        """`weight` inside Lambda, 0 outside."""
+        return self.weight * self.in_lambda
+
+    @cached_property
+    def outside(self) -> np.ndarray:
+        """1.0 outside Lambda, 0.0 inside."""
+        return np.logical_not(self.in_lambda).astype(float)
+
+    @cached_property
+    def weight_out(self) -> np.ndarray:
+        """`weight` outside Lambda, 0 inside."""
+        return self.weight * self.outside
+
+    @cached_property
+    def _weighted_V(self) -> np.ndarray:
+        return self.weight * self.V
+
     def quadratic(self, u_vals, vhat=None) -> float:
         """||u||^2 = <Au, u> + sum V u^2 h^N; one forward FFT unless the
         half spectrum vhat of u is passed."""
         if vhat is None:
             vhat = half_spectrum(u_vals, self.table.even_axes)
         return self.table.form(vhat) + self.cell_volume * float(
-            np.sum(self.weight * self.V * u_vals**2))
+            np.sum(self._weighted_V * u_vals**2))
 
     def energy(self, u_vals, quad=None, t=1.0) -> float:
         """J(t u); pass quad = ||u||^2 when known to skip its FFT."""
@@ -195,38 +215,36 @@ class NehariMoments:
     Where the full nonlinearity acts, g(x, t u) u / t = lam t^(p-2) u^p
     + t^(2*-2) u^(2*); at the points outside Lambda_eps with t u >= a it
     is slope * u^2 instead, and G follows the same split.  So the sums
-    of u^p and u^(2*) are taken once, and the outside values only need
-    sorting, with prefix sums, once some t makes the truncated branch
-    act (t * max(u outside) >= a); the linear set is then a tail of the
-    sorted values, found by one searchsorted at a/t.  Values u <= 0
-    contribute nothing, as g and G vanish there.  Every sum, count and
-    prefix sum weights a value by the problem's `weight`.  The half
-    spectrum of u behind ||u||^2 is kept (`vhat`): scaled by t it is
-    that of t u.
+    of u^p and u^(2*) are taken once, as dot products of the powers of
+    u+ = max(u, 0) with the problem's weights inside and outside Lambda
+    (`NehariProblem.weight_in`, `weight_out`), and the outside values
+    only need extracting and sorting, with prefix sums, once some t makes
+    the truncated branch act (t * max(u outside) >= a); the linear set is
+    then a tail of the sorted values, found by one searchsorted at a/t.
+    Values u <= 0 contribute nothing, as g and G vanish there.  Every
+    sum, count and prefix sum weights a value by the problem's `weight`.
+    The half spectrum of u behind ||u||^2 is kept (`vhat`): scaled by t
+    it is that of t u.
     """
 
     def __init__(self, problem: NehariProblem, u_vals):
-        # only u > 0 enters; leaving out the zeros also skips the slow
-        # path that pow takes for 0.0 ** p
-        pos = u_vals > 0.0
-        sel = np.logical_and(pos, problem.in_lambda)
-        inside = u_vals[sel]
-        if inside.size == 0:
+        p, two_star = problem.config.nonlin.p, problem.config.two_star
+        u = np.maximum(u_vals, 0.0)
+        u_p, u_s = _power(u, p), _power(u, two_star)
+        self.sum_s_in = float(np.vdot(problem.weight_in, u_s))
+        # a positive sum has a term with u > 0 inside; else look for one
+        if not self.sum_s_in > 0.0 and not np.any(u_vals[problem.in_lambda] > 0.0):
             raise NoPositivePartError(
                 "field has no positive part inside the well region; no Nehari scale"
             )
         self.problem = problem
         self.vhat = half_spectrum(u_vals, problem.table.even_axes)
         self.quad = problem.quadratic(u_vals, self.vhat)
-        p, two_star = problem.config.nonlin.p, problem.config.two_star
-        w_in = problem.weight[sel]
-        sel = np.logical_and(pos, np.logical_not(problem.in_lambda))
-        self.outside, self.w_out = u_vals[sel], problem.weight[sel]
-        self.sum_p_in = float(np.sum(w_in * inside**p))
-        self.sum_s_in = float(np.sum(w_in * inside**two_star))
-        self.sum_p = self.sum_p_in + float(np.sum(self.w_out * self.outside**p))
-        self.sum_s = self.sum_s_in + float(np.sum(self.w_out * self.outside**two_star))
-        self.max_out = float(np.max(self.outside, initial=0.0))
+        self.sum_p_in = float(np.vdot(problem.weight_in, u_p))
+        self.sum_p = self.sum_p_in + float(np.vdot(problem.weight_out, u_p))
+        self.sum_s = self.sum_s_in + float(np.vdot(problem.weight_out, u_s))
+        self._u_out = u * problem.outside
+        self.max_out = float(np.max(self._u_out))
         self._sorted = None
 
     def scale(self) -> tuple:
@@ -261,13 +279,15 @@ class NehariMoments:
         if t * self.max_out < cfg.a:
             return self.sum_p, self.sum_s, 0.0, 0
         if self._sorted is None:
-            order = np.argsort(self.outside)
-            w, mult = self.outside[order], self.w_out[order]
+            sel = self._u_out > 0.0
+            outside = self._u_out[sel]
+            order = np.argsort(outside)
+            w, mult = outside[order], self.problem.weight[sel][order]
             zero = np.zeros(1)
             self._sorted = (
                 w,
-                np.concatenate((zero, np.cumsum(mult * w**cfg.nonlin.p))),
-                np.concatenate((zero, np.cumsum(mult * w**cfg.two_star))),
+                np.concatenate((zero, np.cumsum(mult * _power(w, cfg.nonlin.p)))),
+                np.concatenate((zero, np.cumsum(mult * _power(w, cfg.two_star)))),
                 np.concatenate((np.cumsum((mult * w * w)[::-1])[::-1], zero)),
                 np.concatenate((np.cumsum(mult[::-1])[::-1], zero)),
             )
@@ -298,6 +318,17 @@ class NehariMoments:
             G_sum += n_lin * (nl.lam * a**nl.p / nl.p + a**two_star / two_star
                               - 0.5 * cfg.slope * a * a)
         return 0.5 * t * t * self.quad - self.problem.cell_volume * G_sum
+
+
+def _power(x, e):
+    """x**e, as products when e is an integer from 2 to 8: numpy's pow
+    costs several products, and far more on a 0.0 base."""
+    if e not in range(2, 9):
+        return x**e
+    out = x * x
+    for _ in range(int(e) - 2):
+        out *= x
+    return out
 
 
 def nehari_scale(u: Field, config) -> float:

@@ -7,6 +7,8 @@ and bit-level determinism.  Each criterion prints one pass/fail line.
 """
 
 import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -279,6 +281,22 @@ def test_criterion_11_determinism(capsys, tmp_path):
     )
     report(capsys, 11, "determinism (bit-identical CSVs for equal seed)", same)
     assert same
+
+
+def test_determinism_under_blas_threads(tmp_path):
+    # the even-block DCT-I runs through BLAS; one or two BLAS threads must
+    # give the same bytes
+    outs = []
+    for threads in ("1", "2"):
+        out = str(tmp_path / threads)
+        env = dict(os.environ, PYTHONPATH=os.path.join(REPO, "src"), OPENBLAS_NUM_THREADS=threads,
+                   OMP_NUM_THREADS=threads, MKL_NUM_THREADS=threads)
+        subprocess.run([sys.executable, "-m", "frns.cli", "solve", "--config", CFG_2D,
+                        "--out", out, "--seed", "3"],
+                       env=env, check=True, capture_output=True, timeout=120)
+        with open(os.path.join(out, "solution.csv"), "rb") as f:
+            outs.append(f.read())
+    assert outs[0] == outs[1]
 
 
 # Reference levels of the benchmark (`REFERENCES` in perfbench/workloads.py,

@@ -411,9 +411,10 @@ class TestExitCodes:
 # error line)
 GATE_CASES = {
     "points_per_dim_30": ({"grid.points_per_dim = 128": "grid.points_per_dim = 30"}, "",
-                          "points_per_dim must be a power of two >= 32, got 30"),
+                          "grid.points_per_dim must be a power of two >= 32, got 30"),
     "half_length_1e-300": ({"grid.points_per_dim = 128": "grid.points_per_dim = 64"},
-                           "grid.half_length = 1e-300\n", "half_length 1e-300: need h = 2L/n > 0"),
+                           "grid.half_length = 1e-300\n",
+                           "grid.half_length (eps 0.25) = 1e-300: need h = 2L/n > 0"),
     # a descent that can never converge: solve ran to "NOT CONVERGED", exit 1
     "grad_tol_0": ({}, "solver.grad_tol = 0\n", "solver.grad_tol must be positive, got 0.0"),
     "grad_tol_-1": ({}, "solver.grad_tol = -1\n", "solver.grad_tol must be positive, got -1.0"),
@@ -423,7 +424,7 @@ GATE_CASES = {
                  "nonlin.p = 3.0": "nonlin.p = 2.5", "nonlin.ar_theta = 3.0": "nonlin.ar_theta = 2.5",
                  "nonlin.q = 3.5": "nonlin.q = 2.8"}, "", "n_dim must be 1 or 2, got 3"),
     "sweep_points_per_dim_48": ({"sweep.points_per_dim = 256": "sweep.points_per_dim = 48"}, "",
-                                "points_per_dim must be a power of two >= 32, got 48"),
+                                "sweep.points_per_dim must be a power of two >= 32, got 48"),
     "sweep_eps_negative": ({"sweep.eps = 0.5, 0.25, 0.1": "sweep.eps = 0.5, -0.25, 0.1"}, "",
                            "sweep.eps needs at least 3 positive finite values"),
     "sweep_eps_two": ({"sweep.eps = 0.5, 0.25, 0.1": "sweep.eps = 0.5, 0.25"}, "",
@@ -432,6 +433,17 @@ GATE_CASES = {
     "wells_at_1e200": ({"potential.M_points = -1 0; 1 0": "potential.M_points = 1e200 0",
                         "potential.lambda_center = 0 0": "potential.lambda_center = 1e200 0"},
                        "", "Lambda (centre (1e+200, 0.0), radius 2.5)"),
+    # derived boxes whose h^2 overflows name the eps they were derived at:
+    # the configured one, with a set box the first sweep eps, and the
+    # d_V0 box 20/m
+    "derived_box_1e156": ({"potential.lambda_radius = 2.5": "potential.lambda_radius = 1e156"}, "",
+                          "grid.half_length (eps 0.25) = 4e+156: need h = 2L/n > 0"),
+    "sweep_box_1e156": ({"potential.lambda_radius = 2.5": "potential.lambda_radius = 1e156"},
+                        "grid.half_length = 20\n",
+                        "sweep box half_length (eps 0.5) = 2e+156: need h = 2L/n > 0"),
+    "d_V0_box": ({"frac.m = 1.0": "frac.m = 1e-156", "potential.V1 = 0.2": "potential.V1 = 1e-290",
+                  "potential.V0 = 0.2": "potential.V0 = 1e-290"}, "",
+                 "d_V0 box half_length 20/frac.m = 2e+157: need h = 2L/n > 0"),
 }
 
 
@@ -633,6 +645,25 @@ class TestSweep:
             r["dist_to_M_rescaled"] for r in expected
         ]
         assert all(r["converged"] == "true" for r in rows)
+
+    def test_eps_override_is_hashed_and_recorded(self, tmp_path):
+        # the hash of sweep.csv is that of the effective config: an --eps
+        # list equal to the file's sweep.eps leaves the file's hash
+        path = small_cfg(tmp_path, 32)
+        hashes, eps_lists = [], []
+        for k, eps in enumerate(([], ["0.5", "0.25", "0.1"], ["0.6", "0.3", "0.2"])):
+            out = str(tmp_path / f"sweep{k}")
+            argv = ["sweep", "--config", path, "--out", out, "--jobs", "1"]
+            assert main(argv + (["--eps"] + eps if eps else [])) == EXIT_PASS
+            with open(os.path.join(out, "sweep.csv"), encoding="utf-8") as f:
+                hashes.append(f.readline())
+            with open(os.path.join(out, "manifest.json")) as f:
+                manifest = json.load(f)
+            assert hashes[-1] == f"# config-hash: {manifest['config_hash']}\n"
+            eps_lists.append(manifest["eps"])
+        assert hashes[0] == hashes[1] != hashes[2]
+        assert hashes[0] == f"# config-hash: {config_hash(load_config(path))}\n"
+        assert eps_lists == [[0.5, 0.25, 0.1], [0.5, 0.25, 0.1], [0.6, 0.3, 0.2]]
 
     def test_failed_solve_writes_nan_row(self, tmp_path, monkeypatch, capsys):
         real = solver.ground_state

@@ -224,6 +224,27 @@ class TestEvenAxes:
         Ab = from_half_spectrum(weight[:33], vhat, block.shape, axes)
         assert np.allclose(Ab, grid.block(Au, axes), rtol=0.0, atol=1e-12)
 
+    @pytest.mark.parametrize("m", [17, 33, 65, 129, 257])
+    @pytest.mark.parametrize("axes, n_dim", [((0,), 1), ((0,), 2), ((1,), 2), ((0, 1), 2)])
+    def test_dct_matches_mirrored_rfft(self, m, axes, n_dim):
+        # up to DCT_MATRIX_MAX_POINTS = 129 block points the DCT-I is a
+        # product with the cosine matrix, against the rfft of the block
+        # mirrored to length 2(m - 1) that longer blocks take
+        n = 2 * (m - 1)
+        block = np.random.default_rng(m).standard_normal(
+            tuple(m if ax in axes else n for ax in range(n_dim)))
+        expected = block
+        for ax in axes:
+            interior = (slice(None),) * ax + (slice(-2, 0, -1),)  # indices m-2..1
+            expected = np.fft.rfft(np.concatenate((expected, expected[interior]), axis=ax),
+                                   axis=ax).real
+        vhat = even_block_spectrum(block, axes)
+        assert vhat.shape == expected.shape
+        assert np.max(np.abs(vhat - expected)) <= 1e-14 * np.max(np.abs(expected))
+        # the inverse of the half spectrum returns the block
+        back = from_half_spectrum(1.0, half_spectrum(block, axes), block.shape, axes)
+        assert np.max(np.abs(back - block)) <= 1e-14 * np.max(np.abs(block))
+
     @pytest.mark.parametrize("grid, axes", EVEN_CASES)
     def test_block_table_form_matches_full_grid(self, grid, axes):
         table = build_symbol(grid, FracParams(s=0.3, m=1.0, n_dim=grid.n_dim))

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from frns.specfun import FracParams, sobolev_trace_constant
-from frns.operator import Field, Grid, estimate_s_star
+from frns.operator import Field, Grid, estimate_s_star, half_spectrum
 from frns.params import (
     ModelConfig,
     NonlinearitySpec,
@@ -39,8 +39,9 @@ from frns.solver import (
 )
 
 
-CFG_1D = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
-                      "configs", "single_well_1d.cfg")
+CONFIGS = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "configs")
+CFG_1D = os.path.join(CONFIGS, "single_well_1d.cfg")
+CFG_2D = os.path.join(CONFIGS, "double_well_2d.cfg")
 FRAC = FracParams(s=0.5, m=1.0, n_dim=2)
 NL = NonlinearitySpec(lam=1.0, p=3.0, ar_theta=3.0, q=3.5)
 POT = PotentialSpec(
@@ -144,6 +145,118 @@ class TestNehariScale:
         u = Field(grid=grid, values=-np.ones(grid.shape))
         with pytest.raises(NoPositivePartError):
             nehari_scale(u, cfg)
+
+
+class ExtractedMoments(NehariMoments):
+    """NehariMoments by boolean extraction and pow: the sums run over the
+    values u > 0 taken out inside and outside Lambda, the sorted outside
+    values are built from those, and `scale` and `energy` are inherited."""
+
+    def __init__(self, problem, u_vals):
+        pos = u_vals > 0.0
+        inside = np.logical_and(pos, problem.in_lambda)
+        if not inside.any():
+            raise NoPositivePartError("no u > 0 inside Lambda")
+        self.problem = problem
+        self.vhat = half_spectrum(u_vals, problem.table.even_axes)
+        self.quad = problem.quadratic(u_vals, self.vhat)
+        p, two_star = problem.config.nonlin.p, problem.config.two_star
+        u_in, w_in = u_vals[inside], problem.weight[inside]
+        out = np.logical_and(pos, np.logical_not(problem.in_lambda))
+        self.u_out, self.w_out = u_vals[out], problem.weight[out]
+        self.sum_p_in = float(np.sum(w_in * u_in**p))
+        self.sum_s_in = float(np.sum(w_in * u_in**two_star))
+        self.sum_p = self.sum_p_in + float(np.sum(self.w_out * self.u_out**p))
+        self.sum_s = self.sum_s_in + float(np.sum(self.w_out * self.u_out**two_star))
+        self.max_out = float(np.max(self.u_out, initial=0.0))
+
+    def _split(self, t):
+        cfg = self.problem.config
+        if t * self.max_out < cfg.a:
+            return self.sum_p, self.sum_s, 0.0, 0
+        order = np.argsort(self.u_out)
+        w, mult = self.u_out[order], self.w_out[order]
+        k = int(np.searchsorted(w, cfg.a / t))
+        lin = slice(k, None)
+        return (self.sum_p_in + float(np.sum((mult * w**cfg.nonlin.p)[:k])),
+                self.sum_s_in + float(np.sum((mult * w**cfg.two_star)[:k])),
+                float(np.sum((mult * w * w)[lin])), float(np.sum(mult[lin])))
+
+
+class TestMomentsAgainstExtraction:
+    """The dot-product moments against `ExtractedMoments`, the sums over
+    extracted positive values with pow."""
+
+    @staticmethod
+    def cases():
+        """(name, problem, candidate): a descent iterate on the block of the
+        2D config's descent, that iterate with its outside values lifted
+        so that the truncated branch acts at the root, a field with
+        negative values, and non-integer p and 2*."""
+        from frns.cli import build_config, load_config
+        from frns.solver import _nehari_cg
+
+        cfg, settings = build_config(load_config(CFG_2D))
+        grid = grid_for_eps(cfg, cfg.eps, settings.points_per_dim)
+        problem = NehariProblem.penalized(cfg, grid).even_block((1,))
+        start = grid.block(default_init(cfg, grid), (1,))
+        u = _nehari_cg(problem, start, Tolerances(max_iterations=3))[0]
+        t0 = NehariMoments(problem, u).scale()[0]
+        outside = ~problem.in_lambda
+        lifted = u.copy()
+        lifted[outside] = np.random.default_rng(1).uniform(0.0, 3.0 * cfg.a / t0,
+                                                           int(outside.sum()))
+        signed = u - 0.1 * np.max(u) * np.cos(np.arange(u.size).reshape(u.shape))
+        frac = FracParams(s=0.3, m=1.0, n_dim=2)
+        odd = ModelConfig(frac=frac, eps=0.25, potential=POT,
+                          nonlin=NonlinearitySpec(lam=1.0, p=2.5, ar_theta=2.5, q=2.7),
+                          kappa=10.0)
+        grid64 = Grid(2, 64, 18.0)
+        odd_u = gaussian_bump(grid64, (-4.0, 0.0)) - 0.05
+        return [("iterate", problem, u), ("truncated", problem, lifted),
+                ("signed", problem, signed),
+                ("non_integer", NehariProblem.penalized(odd, grid64), odd_u)]
+
+    def test_sums_scale_and_level_match(self):
+        acted = {}
+        for name, problem, u in self.cases():
+            new, ref = NehariMoments(problem, u), ExtractedMoments(problem, u)
+            for key in ("sum_p_in", "sum_s_in", "sum_p", "sum_s", "max_out"):
+                assert getattr(new, key) == pytest.approx(getattr(ref, key), rel=1e-13), \
+                    (name, key)
+            t, E = new.scale()
+            t_ref, E_ref = ref.scale()
+            assert t == pytest.approx(t_ref, rel=1e-13), name
+            assert E == pytest.approx(E_ref, rel=1e-13), name
+            acted[name] = t * new.max_out >= problem.config.a
+        assert acted["truncated"] and not acted["iterate"]
+
+    def test_no_positive_part_exactly_when_none_inside(self):
+        cfg = default_config()
+        grid = Grid(2, 64, 18.0)
+        problem = NehariProblem.penalized(cfg, grid)
+        inside = problem.in_lambda
+        bump = gaussian_bump(grid, (-4.0, 0.0))
+        fields = {
+            "negative": -bump,
+            "zero": np.zeros(grid.shape),
+            "outside_only": np.where(inside, -bump, 1.0),
+            "one_inside": np.where(inside, 0.0, 1.0),
+            "subnormal_inside": np.where(inside, 0.0, 1.0),
+            "bump": bump,
+        }
+        fields["one_inside"][grid.points_per_dim // 2, grid.points_per_dim // 2] = 0.5
+        # u^(2*) underflows to 0, yet u > 0: no error
+        fields["subnormal_inside"][grid.points_per_dim // 2, grid.points_per_dim // 2] = 5e-324
+        raised = {}
+        for name, u in fields.items():
+            for moments in (NehariMoments, ExtractedMoments):
+                try:
+                    moments(problem, u)
+                    raised.setdefault(name, []).append(False)
+                except NoPositivePartError:
+                    raised.setdefault(name, []).append(True)
+            assert raised[name] == [not np.any(u[inside] > 0.0)] * 2, name
 
 
 class TestGroundState:
