@@ -321,10 +321,12 @@ class NehariMoments:
 
 
 def _power(x, e):
-    """x**e, as products when e is an integer from 2 to 8: numpy's pow
-    costs several products, and far more on a 0.0 base."""
-    if e not in range(2, 9):
-        return x**e
+    """x**e for x >= 0, as products when e is an integer from 2 to 8, else
+    by pow with the zeros set to 1 and back: numpy's pow costs several
+    products, and far more on a 0.0 base."""
+    if not (2 <= e <= 8 and float(e).is_integer()):
+        pos = x > 0.0
+        return np.where(pos, x, 1.0) ** e * pos
     out = x * x
     for _ in range(int(e) - 2):
         out *= x
