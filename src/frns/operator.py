@@ -273,10 +273,11 @@ def even_block_spectrum(block, axes):
 
 # Up to this block length the DCT-I is one BLAS product: numpy's mirrored
 # rfft pays about 0.6 us of call overhead per 1D transform, which a
-# (n, m) @ (m, m) product does not.  On a 2-core Xeon, one BLAS thread,
-# along the even axis of an (n, n/2 + 1) block: 15-24 against 46-78 us
-# at 65 points, 154-229 against 431-471 us at 129; at 257 the rfft won
-# on another host (1.0 against 1.7 ms), so longer blocks keep it.
+# (n, m) @ (m, m) product does not.  Along the even axis of an
+# (n, n/2 + 1) block, one BLAS thread on a 2-core Xeon: 15-24 against
+# 46-78 us at 65 points, 154-229 against 431-471 us at 129.  At 257 the
+# product won there too (1.1 against 2.1-2.4 ms) but lost on another
+# host (1.7 against 1.0 ms), so longer blocks keep the rfft.
 DCT_MATRIX_MAX_POINTS = 129
 
 
