@@ -3,8 +3,8 @@ artifact emission (CSV tables, minimal SVG plots).
 
 Config files are flat ``key = value`` text with dotted sections (see
 docs/config.md); unknown keys are hard errors so misconfiguration fails
-loudly.  Exit codes: 0 pass, 1 numerical failure, 2 invalid parameters,
-3 parse error.
+loudly.  Exit codes: 0 pass, 1 numerical failure, 2 invalid parameters
+or an --out that cannot be written, 3 parse error.
 
 At module scope only the standard library and `params` are imported, so
 `validate` runs without numpy; each command imports the array layers it
@@ -199,39 +199,29 @@ def build_config(raw):
 # ---------------------------------------------------------------------------
 # artifact emission
 
-def _column_format(value) -> str:
-    """printf conversion of a column whose values have the kind of `value`."""
+def _cell(value) -> str:
+    """CSV text of one value: bools as true/false, ints as ints, strings
+    as given and floats with 17 significant digits."""
     import numpy as np
 
-    if isinstance(value, (bool, np.bool_, str)):
-        return "%s"
+    if isinstance(value, (bool, np.bool_)):
+        return "true" if value else "false"
+    if isinstance(value, str):
+        return value
     if isinstance(value, (int, np.integer)):
-        return "%d"
-    return "%.17g"
+        return "%d" % value
+    return "%.17g" % value
 
 
 def write_csv(path, header, rows, cfg_hash):
-    """CSV with a leading config-hash comment line, streamed row by row.
-
-    Each column is formatted by the kind of its first-row value: bools
-    as true/false, ints as ints, strings as given and floats with 17
-    significant digits, so reruns are bit-comparable.  No field is
-    quoted; names and strings hold no commas, quotes or line breaks.
+    """CSV with a leading config-hash comment line, streamed row by row
+    and cell by cell (`_cell`), so reruns are bit-comparable.  No field
+    is quoted; names and strings hold no commas, quotes or line breaks.
     """
-    import numpy as np
-
     with open(path, "w", encoding="utf-8", newline="") as f:
         f.write(f"# config-hash: {cfg_hash}\r\n" + ",".join(header) + "\r\n")
-        line = None
         for row in rows:
-            if line is None:
-                line = ",".join(map(_column_format, row)) + "\r\n"
-                bools = [i for i, v in enumerate(row) if isinstance(v, (bool, np.bool_))]
-            if bools:
-                row = list(row)
-                for i in bools:
-                    row[i] = "true" if row[i] else "false"
-            f.write(line % tuple(row))
+            f.write(",".join(map(_cell, row)) + "\r\n")
 
 
 def _exactly_even(rows) -> bool:
@@ -418,7 +408,7 @@ def _kernel_checks(cfg):
     # reads y = 0 and the four smallest positive levels alone
     table = build_symbol(grid, frac)
     bump = Field(grid=grid, values=np.exp(-grid.radii() ** 2))
-    flux, _ = conormal_derivative(extend(bump, frac, stack.y_levels[:5]), frac)
+    flux = conormal_derivative(extend(bump, frac, stack.y_levels[:5]), frac)
     target = sig * apply_operator(bump, table).values
     rel = float(
         np.sqrt(np.sum((flux.values - target) ** 2) / np.sum(target**2))
@@ -648,6 +638,12 @@ def main(argv=None) -> int:
     except (ArithmeticError, RuntimeError, NoPositivePartError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
+    except OSError as exc:
+        # an unreadable config is a ConfigError: a file named here is --out's
+        if exc.filename is None:
+            raise
+        print(f"cannot write --out {args.out}: {exc}", file=sys.stderr)
+        return EXIT_INVALID
 
 
 if __name__ == "__main__":

@@ -69,7 +69,7 @@ def extend(u: Field, params: FracParams, y_levels=None) -> ExtensionStack:
     return ExtensionStack(grid=g, y_levels=y_levels, slabs=slabs)
 
 
-def conormal_derivative(stack: ExtensionStack, params: FracParams):
+def conormal_derivative(stack: ExtensionStack, params: FracParams) -> Field:
     """Dirichlet-to-Neumann map -lim_{y->0} y^(1-2s) dU/dy.
 
     Near y = 0 the extension behaves like
@@ -84,29 +84,15 @@ def conormal_derivative(stack: ExtensionStack, params: FracParams):
     error (the assumed leading order from the theta expansion) and then
     y^2.  A third pass, on y^(4-2s), leaves a larger error on the bump
     of `frns kernels` and is not taken.
-
-    Returns (field, diagnostics) where diagnostics carries the
-    estimated convergence order of the ladder.
     """
     y = stack.y_levels
     if len(y) < 5:
         raise ExtrapolationError("need at least 4 positive levels clustered near y = 0")
     s = params.s
 
-    ys = y[1:5]
     qs = [-2.0 * s * (stack.slabs[j] - stack.slabs[0]) / y[j] ** (2.0 * s) for j in range(1, 5)]
-    p = 2.0 - 2.0 * s
-    limit = richardson(qs, ys, (p, 2.0))
-
-    # empirical order from the raw ladder, as a diagnostic
-    d1 = np.max(np.abs(qs[1] - qs[0]))
-    d2 = np.max(np.abs(qs[2] - qs[1]))
-    if d2 > 0.0 and d1 > 0.0 and ys[2] != ys[1]:
-        order = float(np.log(d2 / d1) / np.log(ys[2] / ys[1]))
-    else:
-        order = np.nan
-    diagnostics = {"assumed_order": p, "estimated_order": order}
-    return Field(grid=stack.grid, values=limit), diagnostics
+    limit = richardson(qs, y[1:5], (2.0 - 2.0 * s, 2.0))
+    return Field(grid=stack.grid, values=limit)
 
 
 def _spectral_gradient_sq(u_vals: np.ndarray, grid: Grid) -> np.ndarray:

@@ -29,8 +29,7 @@ def potential_values(pot: PotentialSpec, *coords):
     for p in pot.M_points:
         d2 = sum((x - c) ** 2 for x, c in zip(coords, p))
         d2min = d2 if d2min is None else np.minimum(d2min, d2)
-    r = np.sqrt(d2min) / pot.well_width
-    return -pot.V0 + pot.barrier * smooth_ramp(np.clip(r, 0.0, 1.0))
+    return -pot.V0 + smooth_ramp(np.clip(np.sqrt(d2min), 0.0, 1.0))
 
 
 # ---------------------------------------------------------------------------

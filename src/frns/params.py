@@ -138,21 +138,16 @@ def smooth_ramp(t):
     return t * t * (3.0 - 2.0 * t)
 
 
-def _clip01(t: float) -> float:
-    return min(max(t, 0.0), 1.0)
-
-
 @dataclass(frozen=True)
 class PotentialSpec:
     """Multi-well potential with designated minima inside a ball Lambda.
 
-        V(x) = -V0 + barrier * ramp(min_i |x - M_i| / well_width)
+        V(x) = -V0 + ramp(min(min_i |x - M_i|, 1))
 
     capped so the global infimum is -V1 (= -V0 for the shipped configs:
     the wells are the global minima).  Lambda is the ball of radius
     lambda_radius about lambda_center; every M_i must lie inside it.
-    `model.potential_values` evaluates V on coordinate arrays, `at` at
-    one point.
+    `model.potential_values` evaluates V on coordinate arrays.
     """
 
     V1: float
@@ -160,8 +155,6 @@ class PotentialSpec:
     M_points: tuple            # tuple of minima, each a tuple of floats
     lambda_center: tuple
     lambda_radius: float
-    well_width: float = 1.0
-    barrier: float = 1.0       # V rises to -V0 + barrier away from the wells
 
     def __post_init__(self):
         object.__setattr__(
@@ -171,21 +164,16 @@ class PotentialSpec:
             self, "lambda_center", tuple(float(c) for c in self.lambda_center)
         )
 
-    def at(self, point) -> float:
-        """V at one point."""
-        r = min(math.dist(point, p) for p in self.M_points) / self.well_width
-        return -self.V0 + self.barrier * smooth_ramp(_clip01(r))
-
     def boundary_min(self) -> float:
         """min of V over the sphere bounding Lambda, in closed form.
 
         V grows with the distance to the nearest well, and a well at
         distance d < R from the centre lies R - d from the sphere, so the
-        minimum is -V0 + barrier ramp(min_i (R - d_i) / well_width).
+        minimum is -V0 + ramp(min(min_i (R - d_i), 1)).
         """
         gap = min(self.lambda_radius - math.dist(p, self.lambda_center)
                   for p in self.M_points)
-        return -self.V0 + self.barrier * smooth_ramp(_clip01(gap / self.well_width))
+        return -self.V0 + smooth_ramp(min(max(gap, 0.0), 1.0))
 
     def in_lambda(self, *coords):
         """Characteristic function of Lambda at coordinate arrays."""
@@ -303,13 +291,10 @@ def validate_config(cfg: "ModelConfig") -> float:
     for pnt in (pot.lambda_center,) + pot.M_points:
         if len(pnt) != frac.n_dim:
             raise AssumptionError("(V2)", f"point {pnt} must have {frac.n_dim} coordinates")
-    # every designated minimum lies strictly inside Lambda, at depth -V0
+    # every designated minimum lies strictly inside Lambda
     for pnt in pot.M_points:
         if not math.dist(pnt, pot.lambda_center) < pot.lambda_radius:
             raise AssumptionError("(V2)", f"minimum {pnt} lies outside Lambda")
-        v_here = pot.at(pnt)
-        if abs(v_here + pot.V0) > 1e-12:
-            raise AssumptionError("(V2)", f"V({pnt}) = {v_here} != -V0")
     # inf over Lambda < min over its boundary
     if not -pot.V0 < pot.boundary_min():
         raise AssumptionError("(V2)", "inf over Lambda is not below the boundary values")

@@ -217,12 +217,11 @@ class NehariMoments:
     is slope * u^2 instead, and G follows the same split.  So the sums
     of u^p and u^(2*) are taken once, as dot products of the powers of
     u+ = max(u, 0) with the problem's weights inside and outside Lambda
-    (`NehariProblem.weight_in`, `weight_out`), and the outside values
-    only need extracting and sorting, with prefix sums, once some t makes
-    the truncated branch act (t * max(u outside) >= a); the linear set is
-    then a tail of the sorted values, found by one searchsorted at a/t.
-    Values u <= 0 contribute nothing, as g and G vanish there.  Every
-    sum, count and prefix sum weights a value by the problem's `weight`.
+    (`NehariProblem.weight_in`, `weight_out`).  Only a t that makes the
+    truncated branch act (t * max(u outside) >= a) splits the outside
+    sums, with one masked pass over the values at a/t.  Values u <= 0
+    contribute nothing, as g and G vanish there.  Every sum and count
+    weights a value by the problem's `weight`.
     The half spectrum of u behind ||u||^2 is kept (`vhat`): scaled by t
     it is that of t u.
     """
@@ -243,15 +242,16 @@ class NehariMoments:
         self.sum_p_in = float(np.vdot(problem.weight_in, u_p))
         self.sum_p = self.sum_p_in + float(np.vdot(problem.weight_out, u_p))
         self.sum_s = self.sum_s_in + float(np.vdot(problem.weight_out, u_s))
+        self._u_p, self._u_s = u_p, u_s
         self._u_out = u * problem.outside
         self.max_out = float(np.max(self._u_out))
-        self._sorted = None
 
     def scale(self) -> tuple:
         """(t, J(t u)) for the unique t > 0 with <J'(t u), t u> = 0.
 
         Each evaluation of the mismatch in the root solve, and J(t u) at
-        the root, costs O(log n) instead of passes over the grid.
+        the root, takes no pass over the grid unless the truncated branch
+        acts at t.
         """
         lo = hi = 1.0
         f_lo = f_hi = self.mismatch(1.0)
@@ -274,27 +274,17 @@ class NehariMoments:
 
     def _split(self, t) -> tuple:
         """(sum u^p, sum u^(2*)) over the full-nonlinearity points, and
-        (sum u^2, count) over the truncated ones, at scale t."""
+        (sum u^2, count) over the truncated ones, at scale t; not the
+        totals less the truncated part, which cancels digits."""
         cfg = self.problem.config
         if t * self.max_out < cfg.a:
             return self.sum_p, self.sum_s, 0.0, 0
-        if self._sorted is None:
-            sel = self._u_out > 0.0
-            outside = self._u_out[sel]
-            order = np.argsort(outside)
-            w, mult = outside[order], self.problem.weight[sel][order]
-            zero = np.zeros(1)
-            self._sorted = (
-                w,
-                np.concatenate((zero, np.cumsum(mult * _power(w, cfg.nonlin.p)))),
-                np.concatenate((zero, np.cumsum(mult * _power(w, cfg.two_star)))),
-                np.concatenate((np.cumsum((mult * w * w)[::-1])[::-1], zero)),
-                np.concatenate((np.cumsum(mult[::-1])[::-1], zero)),
-            )
-        w, cum_p, cum_s, tail_2, tail_n = self._sorted
-        k = int(np.searchsorted(w, cfg.a / t))
-        return (self.sum_p_in + cum_p[k], self.sum_s_in + cum_s[k],
-                tail_2[k], tail_n[k])
+        lin = self._u_out >= cfg.a / t
+        w_lin = self.problem.weight_out * lin
+        w_full = self.problem.weight_out - w_lin
+        return (self.sum_p_in + float(np.vdot(w_full, self._u_p)),
+                self.sum_s_in + float(np.vdot(w_full, self._u_s)),
+                float(np.vdot(w_lin, self._u_out**2)), float(np.sum(w_lin)))
 
     def mismatch(self, t) -> float:
         """<J'(t u), t u>/t^2 = ||u||^2 - sum g(x, t u) u h^N / t,
@@ -738,8 +728,6 @@ def decay_fit(result: SolveResult) -> dict:
         "C1": C1,
         "C2": C2,
         "r_squared": r2,
-        "n_points": int(np.sum(sel)),
-        "r_max_fitted": float(radii[sel][-1]),
         "pointwise_bound_ok": bound_ok,
     }
 

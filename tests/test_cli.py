@@ -405,6 +405,19 @@ class TestExitCodes:
         assert code == EXIT_INVALID
         assert "--jobs" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("below", [False, True], ids=["file", "below_file"])
+    @pytest.mark.parametrize("command", ["kernels", "solve", "sweep", "sstar"])
+    def test_out_that_cannot_be_a_directory(self, tmp_path, capsys, command, below):
+        # an existing file, or a path below one, ends in one stderr line
+        # naming --out, not a traceback, and the file is left as it was
+        taken = tmp_path / "taken"
+        taken.write_text("kept")
+        out = taken / "o" if below else taken
+        assert main([command, "--config", CFG_1D, "--out", str(out)]) == EXIT_INVALID
+        err = capsys.readouterr().err
+        assert err.startswith(f"cannot write --out {out}: ") and err.count("\n") == 1
+        assert taken.read_text() == "kept"
+
 
 # Changes to the shipped 2D config that `validate` once accepted and a
 # later command rejected: (replaced lines, appended text, part of the one
@@ -475,20 +488,22 @@ class TestOneGate:
 class TestWriteCsv:
     def test_exact_bytes(self, tmp_path):
         path = tmp_path / "t.csv"
+        # each cell is formatted by its own kind: the int 3 and the float
+        # 2.5 share the column "mixed"
         rows = [
-            ("a", True, 3, float("nan"), np.bool_(False)),
-            ("b", False, np.int64(-7), -0.0, np.True_),
-            ("c", True, 12, np.float64(1e-300), False),
-            ("d", False, 0, 0.1, True),
+            ("a", True, 3, float("nan"), np.bool_(False), 3),
+            ("b", False, np.int64(-7), -0.0, np.True_, 2.5),
+            ("c", True, 12, np.float64(1e-300), False, np.int64(-1)),
+            ("d", False, 0, 0.1, True, np.float64(-0.5)),
         ]
-        cli.write_csv(path, ("name", "flag", "count", "value", "np_flag"), rows, "abc")
+        cli.write_csv(path, ("name", "flag", "count", "value", "np_flag", "mixed"), rows, "abc")
         assert path.read_bytes() == (
             b"# config-hash: abc\r\n"
-            b"name,flag,count,value,np_flag\r\n"
-            b"a,true,3,nan,false\r\n"
-            b"b,false,-7,-0,true\r\n"
-            b"c,true,12,1e-300,false\r\n"
-            b"d,false,0,0.10000000000000001,true\r\n"
+            b"name,flag,count,value,np_flag,mixed\r\n"
+            b"a,true,3,nan,false,3\r\n"
+            b"b,false,-7,-0,true,2.5\r\n"
+            b"c,true,12,1e-300,false,-1\r\n"
+            b"d,false,0,0.10000000000000001,true,-0.5\r\n"
         )
 
     def test_no_rows_writes_header(self, tmp_path):

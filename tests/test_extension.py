@@ -106,13 +106,12 @@ class TestConormalDerivative:
         params = FracParams(s=s, m=1.0, n_dim=n_dim)
         u = gaussian_field(grid, width=1.0)
         stack = extend(u, params)
-        dtn, diag = conormal_derivative(stack, params)
+        dtn = conormal_derivative(stack, params)
         ref = sigma_s(s) * apply_operator(u, build_symbol(grid, params)).values
         err = norm_l2(Field(grid=grid, values=dtn.values - ref)) / norm_l2(
             Field(grid=grid, values=ref)
         )
         assert err < 1e-4
-        assert "assumed_order" in diag and "estimated_order" in diag
 
     @pytest.mark.parametrize("s,n_dim", [(0.25, 1), (0.5, 2)])
     def test_eliminates_both_error_orders(self, s, n_dim):
@@ -121,7 +120,7 @@ class TestConormalDerivative:
         grid = Grid(n_dim, 64, 10.0)
         params = FracParams(s=s, m=1.0, n_dim=n_dim)
         u = Field(grid=grid, values=np.exp(-grid.radii() ** 2))
-        dtn, _ = conormal_derivative(extend(u, params), params)
+        dtn = conormal_derivative(extend(u, params), params)
         ref = sigma_s(s) * apply_operator(u, build_symbol(grid, params)).values
         err = norm_l2(Field(grid=grid, values=dtn.values - ref)) / norm_l2(
             Field(grid=grid, values=ref)
@@ -140,7 +139,7 @@ class TestConormalDerivative:
         params = FracParams(s=0.5, m=1.0, n_dim=2)
         u = gaussian_field(grid, width=1.2)
         stack = extend(u, params)
-        dtn, _ = conormal_derivative(stack, params)
+        dtn = conormal_derivative(stack, params)
         ref = sigma_s(0.5) * apply_operator(u, build_symbol(grid, params)).values
         err = norm_l2(Field(grid=grid, values=dtn.values - ref)) / norm_l2(
             Field(grid=grid, values=ref)

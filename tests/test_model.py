@@ -56,7 +56,7 @@ class TestPotential:
         X, Y = np.meshgrid(xs, xs)
         v = potential_values(POT, X, Y)
         assert np.min(v) >= -0.2 - 1e-14
-        assert np.max(v) <= -0.2 + POT.barrier + 1e-14
+        assert np.max(v) <= -0.2 + 1.0 + 1e-14
 
     @pytest.mark.parametrize("pot", [
         POT,

@@ -231,6 +231,25 @@ class TestMomentsAgainstExtraction:
             acted[name] = t * new.max_out >= problem.config.a
         assert acted["truncated"] and not acted["iterate"]
 
+    def test_split_and_energy_on_both_sides_of_the_seam(self):
+        # t * max(u outside) / a from 0.5 (the full sums) to 1e6 (the
+        # masked ones): the lifted iterate, and the field of
+        # test_nehari_scan_has_no_fixed_bound, whose outside part dominates
+        scan = 0.01171875 * (
+            gaussian_bump(GRID_32, (0.0, 0.0), width=0.8125, amplitude=0.05078125)
+            + gaussian_bump(GRID_32, (13.0, 0.0), amplitude=14.0))
+        truncated = {name: (problem, u) for name, problem, u in self.cases()}["truncated"]
+        for problem, u in (truncated, (PROBLEMS_32["penalized"], scan)):
+            new, ref = NehariMoments(problem, u), ExtractedMoments(problem, u)
+            for ratio in (0.5, 1.0, 1.5, 4.0, 100.0, 1e4, 1e6):
+                t = ratio * problem.config.a / new.max_out
+                split = new._split(t)
+                for got, want in zip(split, ref._split(t)):
+                    assert got == pytest.approx(want, rel=1e-13), ratio
+                assert new.energy(t) == pytest.approx(ref.energy(t), rel=1e-12), ratio
+                if ratio != 1.0:
+                    assert (split[3] > 0.0) == (ratio > 1.0), ratio
+
     def test_no_positive_part_exactly_when_none_inside(self):
         cfg = default_config()
         grid = Grid(2, 64, 18.0)
