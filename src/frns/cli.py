@@ -71,8 +71,8 @@ _SCHEMA = {
     "pen.kappa": ("float", True, None),
     "grid.points_per_dim": ("int", False, 128),
     "grid.half_length": ("float", False, None),
-    "solver.grad_tol": ("float", False, 1e-6),
-    "solver.max_iterations": ("int", False, 20000),
+    "solver.grad_tol": ("float", False, Tolerances.grad),
+    "solver.max_iterations": ("int", False, Tolerances.max_iterations),
     "sweep.eps": ("float_list", False, (0.5, 0.25, 0.1)),
     "sweep.points_per_dim": ("int", False, 256),
 }
@@ -510,7 +510,7 @@ def cmd_solve(args) -> int:
 
 def cmd_sweep(args) -> int:
     from .operator import Grid
-    from .solver import AutonomousConfig, autonomous_ground_state, concentration_sweep
+    from .solver import autonomous_ground_state, concentration_sweep
 
     raw = load_config(args.config)
     # an --eps list stands in for sweep.eps, passes the same checks and is hashed
@@ -524,9 +524,8 @@ def cmd_sweep(args) -> int:
     os.makedirs(args.out, exist_ok=True)
 
     # eps-independent reference level d at constant potential -V0
-    auto = AutonomousConfig(mu=-cfg.potential.V0, frac=cfg.frac, nonlin=cfg.nonlin)
     d_grid = Grid(cfg.frac.n_dim, *autonomous_box(cfg, settings))
-    d_res = autonomous_ground_state(auto, d_grid, tolerances=settings.tolerances)
+    d_res = autonomous_ground_state(cfg, d_grid, tolerances=settings.tolerances)
 
     rows = concentration_sweep(
         cfg, settings.sweep_eps, points_per_dim=settings.sweep_points_per_dim,

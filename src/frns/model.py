@@ -8,7 +8,7 @@ the variational problem compact-friendly while leaving solutions that
 stay below a outside Lambda untouched.  The specs, the check of the
 hypotheses and the threshold a (derived by `ModelConfig`) need no arrays
 and live in `params`.  Both Nehari problems of the solver evaluate g and
-G here, the autonomous one with a = inf: g untruncated.
+G here, the autonomous one with Lambda the whole box: g untruncated.
 
 All optimization happens on trace fields over R^N with the spectral
 operator (the energy and its gradient live in the solver module); the
@@ -43,9 +43,9 @@ def g_eval(config, in_lambda, t):
     threshold a, and slope * t above it (slope = V1/kappa); the two
     branches agree at t = a by the threshold identity.  Zero for t <= 0.
 
-    `config` supplies `nonlin`, `two_star`, `a` and `slope` (a
-    ModelConfig, or an AutonomousConfig with a = inf).  `in_lambda`
-    marks x in Lambda, broadcast to the shape of t.
+    `config` (a ModelConfig) supplies `nonlin`, `two_star`, `a` and
+    `slope`.  `in_lambda` marks x in Lambda, broadcast to the shape of
+    t; where it holds everywhere, g is untruncated for every a.
     """
     t = np.asarray(t, dtype=float)
     # only t > 0 (and nan, which stays nan) goes through pow: it takes a
@@ -66,7 +66,8 @@ def G_eval(config, in_lambda, t):
     For x outside Lambda and t >= a:
         F(a) + a^(2*_s)/2*_s + (slope / 2)(t^2 - a^2),
     which matches the inner branch C^1 at t = a; it is evaluated only
-    where it applies, so a = inf takes part in no arithmetic.
+    where it applies, so an `in_lambda` that holds everywhere leaves G
+    untruncated.
     """
     nl, two_star, a = config.nonlin, config.two_star, config.a
     t = np.asarray(t, dtype=float)

@@ -98,7 +98,10 @@ def brentq(f, a, b, xtol=2e-12, rtol=8.881784197001252e-16, maxiter=100):
                 # extrapolate
                 dpre = (fpre - fcur) / (xpre - xcur)
                 dblk = (fblk - fcur) / (xblk - xcur)
-                stry = -fcur * (fblk * dblk - fpre * dpre) / (dblk * dpre * (fblk - fpre))
+                denom = dblk * dpre * (fblk - fpre)
+                # scipy's C divides an underflowed 0 into +-inf or nan,
+                # which the short-step test below rejects: bisect
+                stry = -fcur * (fblk * dblk - fpre * dpre) / denom if denom else math.inf
             if 2.0 * abs(stry) < min(abs(spre), 3.0 * abs(sbis) - delta):
                 # good short step
                 spre, scur = scur, stry

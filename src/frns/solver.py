@@ -9,8 +9,9 @@ every step.  The result is an upper estimate of the level (a descent
 path proves no global minimality).
 
 The same loop drives both the penalized problem and the autonomous
-problem with constant potential shift mu; they differ only in the
-potential term and in whether the nonlinearity is truncated.
+limit problem at a well, with constant potential -V0 and Lambda the
+whole box; they differ only in the potential term and in whether the
+nonlinearity is truncated.
 """
 
 import math
@@ -27,9 +28,7 @@ from .model import G_eval, g_eval, lambda_mask, potential_on_grid
 from .params import (
     AssumptionError,
     DomainError,
-    FracParams,
     ModelConfig,
-    NonlinearitySpec,
     NoPositivePartError,
     Tolerances,
     box_half_length,
@@ -61,48 +60,23 @@ class SolveResult:
 
 
 @dataclass(frozen=True)
-class AutonomousConfig:
-    """Constant-potential problem data: shift mu, operator params, power f.
-    The class attributes a = inf and slope = 0 (no fields) complete the
-    interface that `model.g_eval` reads, with g untruncated."""
-
-    mu: float
-    frac: FracParams
-    nonlin: NonlinearitySpec
-    a = math.inf
-    slope = 0.0
-
-    def __post_init__(self):
-        m2s = self.frac.m ** (2.0 * self.frac.s)
-        if not self.mu > -m2s:
-            raise AssumptionError(
-                "(V1)", f"autonomous shift needs mu > -m^(2s) = {-m2s:.6g}, got {self.mu}"
-            )
-
-    @property
-    def two_star(self) -> float:
-        return self.frac.two_star
-
-
-@dataclass(frozen=True)
 class NehariProblem:
     """Energy, gradient and Nehari scaling of one problem on one grid.
 
         J(u) = 1/2 ||u||^2 - sum G(x, u) h^N,  ||u||^2 = <Au, u> + sum V u^2 h^N,
 
     with gradient J'(u) = A u + V u - g(x, u).  The penalized and the
-    autonomous problem differ only in V and in `config`; build them with
-    `penalized` and `autonomous`.  Every method takes raw sample values
-    on `grid`, or on the block of `even_block`, where each sum over the
-    grid weights a sample by the full-grid samples it stands for
-    (`weight`).
+    autonomous problem of one ModelConfig differ only in V and in
+    `in_lambda`; build them with `penalized` and `autonomous`.  Every
+    method takes raw sample values on `grid`, or on the block of
+    `even_block`, where each sum over the grid weights a sample by the
+    full-grid samples it stands for (`weight`).
 
     Both use the power model g(x, t) = lam t^(p-1) + t^(2*_s - 1) for
     t > 0, replaced by slope * t outside `in_lambda` where t >= a.
-    `config` (a ModelConfig or an AutonomousConfig) holds its scalars:
-    `nonlin`, `two_star`, `a` and `slope`.  `g` and `G` evaluate it
-    pointwise through `model.g_eval` and `model.G_eval`, and
-    `NehariMoments` from per-candidate power sums.
+    `config` holds its scalars: `nonlin`, `two_star`, `a` and `slope`.
+    `g` and `G` evaluate it pointwise through `model.g_eval` and
+    `model.G_eval`, and `NehariMoments` from per-candidate power sums.
     """
 
     grid: Grid
@@ -110,7 +84,7 @@ class NehariProblem:
     V: np.ndarray               # potential values on the grid
     in_lambda: np.ndarray       # where the untruncated nonlinearity acts
     weight: np.ndarray          # full-grid samples each value stands for
-    config: ModelConfig | AutonomousConfig
+    config: ModelConfig
 
     @classmethod
     def penalized(cls, config: ModelConfig, grid: Grid) -> "NehariProblem":
@@ -126,12 +100,13 @@ class NehariProblem:
         )
 
     @classmethod
-    def autonomous(cls, config: AutonomousConfig, grid: Grid) -> "NehariProblem":
-        """Constant potential mu and the untruncated f(t) + (t+)^(2*_s - 1)."""
+    def autonomous(cls, config: ModelConfig, grid: Grid) -> "NehariProblem":
+        """The limit problem at a well: constant potential -V0 and, with
+        Lambda the whole box, the untruncated f(t) + (t+)^(2*_s - 1)."""
         return cls(
             grid=grid,
             table=build_symbol(grid, config.frac),
-            V=np.full(grid.shape, config.mu),
+            V=np.full(grid.shape, -config.potential.V0),
             in_lambda=np.ones(grid.shape, dtype=bool),
             weight=np.ones(grid.shape),
             config=config,
@@ -251,26 +226,32 @@ class NehariMoments:
 
         Each evaluation of the mismatch in the root solve, and J(t u) at
         the root, takes no pass over the grid unless the truncated branch
-        acts at t.
+        acts at t.  A power of t that overflows a float (Python raises
+        there rather than return inf) leaves no bracket either.
         """
         lo = hi = 1.0
-        f_lo = f_hi = self.mismatch(1.0)
-        # The mismatch falls from ||u||^2 at t -> 0 to -inf at t -> inf (the
-        # inside part has a positive u^(2*) sum), so each scan ends; it ends
-        # without a bracket only where t or the mismatch is no finite number.
-        if f_hi > 0.0:
-            while f_hi > 0.0:
-                lo, hi = hi, 2.0 * hi
-                f_hi = self.mismatch(hi)
-        else:
-            while f_lo <= 0.0 and lo > 0.0:
-                hi, lo = lo, 0.5 * lo
-                f_lo = self.mismatch(lo)
-        if not (lo > 0.0 and math.isfinite(hi) and math.isfinite(f_lo) and math.isfinite(f_hi)):
-            raise NoBracketError(f"no Nehari bracket: mismatch {f_lo} at t = {lo}, "
-                                 f"{f_hi} at t = {hi}")
-        t = brentq(self.mismatch, lo, hi, xtol=1e-300, rtol=8.9e-16, maxiter=200)
-        return float(t), self.energy(t)
+        try:
+            f_lo = f_hi = self.mismatch(1.0)
+            # The mismatch falls from ||u||^2 at t -> 0 to -inf at t -> inf (the
+            # inside part has a positive u^(2*) sum), so each scan ends; it ends
+            # without a bracket only where t or the mismatch is no finite number.
+            if f_hi > 0.0:
+                while f_hi > 0.0:
+                    lo, hi = hi, 2.0 * hi
+                    f_hi = self.mismatch(hi)
+            else:
+                while f_lo <= 0.0 and lo > 0.0:
+                    hi, lo = lo, 0.5 * lo
+                    f_lo = self.mismatch(lo)
+            if not (lo > 0.0 and math.isfinite(hi) and math.isfinite(f_lo)
+                    and math.isfinite(f_hi)):
+                raise NoBracketError(f"no Nehari bracket: mismatch {f_lo} at t = {lo}, "
+                                     f"{f_hi} at t = {hi}")
+            t = brentq(self.mismatch, lo, hi, xtol=1e-300, rtol=8.9e-16, maxiter=200)
+            return float(t), self.energy(t)
+        except OverflowError:
+            raise NoBracketError(f"no Nehari bracket: a power of t overflows a float "
+                                 f"between t = {lo} and t = {hi}") from None
 
     def _split(self, t) -> tuple:
         """(sum u^p, sum u^(2*)) over the full-nonlinearity points, and
@@ -323,13 +304,9 @@ def _power(x, e):
     return out
 
 
-def nehari_scale(u: Field, config) -> float:
-    """Nehari scale t(u) of a field for a ModelConfig or an AutonomousConfig."""
-    if isinstance(config, AutonomousConfig):
-        problem = NehariProblem.autonomous(config, u.grid)
-    else:
-        problem = NehariProblem.penalized(config, u.grid)
-    return NehariMoments(problem, u.values).scale()[0]
+def nehari_scale(u: Field, config: ModelConfig) -> float:
+    """Nehari scale t(u) of a field for the penalized problem."""
+    return NehariMoments(NehariProblem.penalized(config, u.grid), u.values).scale()[0]
 
 
 def _projected_gradient(u_vals, grad) -> tuple:
@@ -580,13 +557,14 @@ def _distinct_wells(problem: NehariProblem, points) -> list:
 
 
 def autonomous_ground_state(
-    config: AutonomousConfig,
+    config: ModelConfig,
     grid: Grid,
     init: Optional[np.ndarray] = None,
     tolerances: Tolerances = Tolerances(),
 ) -> SolveResult:
-    """Ground state of the constant-potential problem; estimates d_mu.
-    One start, a centred bump unless `init` is given."""
+    """Ground state of the limit problem at a well
+    (`NehariProblem.autonomous`); estimates d_V0.  One start, a centred
+    bump unless `init` is given."""
     problem = NehariProblem.autonomous(config, grid)
     if init is None:
         init = gaussian_bump(grid, (0.0,) * grid.n_dim)
@@ -778,7 +756,7 @@ def grid_for_eps(config: ModelConfig, eps: float, points_per_dim: int) -> Grid:
 def concentration_sweep(
     config: ModelConfig,
     eps_list: Sequence[float],
-    points_per_dim: int = 256,
+    points_per_dim: int,
     tolerances: Tolerances = Tolerances(),
     jobs: int = 1,
 ) -> list:

@@ -33,7 +33,6 @@ from frns.operator import (
 )
 from frns.extension import conormal_derivative, extend
 from frns.solver import (
-    AutonomousConfig,
     NehariProblem,
     autonomous_ground_state,
     concentration_sweep,
@@ -71,11 +70,7 @@ def default_solve(default_config):
 def d_solve(default_config):
     """The autonomous level d_{V(0)} on 128^2, half-length 20, as `frns
     sweep` solves it; shared by criterion 10 and the reference levels."""
-    auto = AutonomousConfig(
-        mu=-default_config.potential.V0,
-        frac=default_config.frac, nonlin=default_config.nonlin,
-    )
-    return autonomous_ground_state(auto, Grid(2, 128, 20.0))
+    return autonomous_ground_state(default_config, Grid(2, 128, 20.0))
 
 
 @pytest.fixture(scope="module")

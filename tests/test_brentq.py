@@ -91,6 +91,19 @@ def test_analytic_roots_match_scipy(f, a, b, tols):
     assert abs(f(root)) < 1e-12
 
 
+@pytest.mark.parametrize("f, a, b", [
+    (lambda x: 1e-200 * (x**3 - 0.2), 0.0, 1.0),
+    (lambda x: 1e-170 * (math.exp(x) - 2.0), 0.0, 3.0),
+    (lambda x: 1e-160 * (x**5 - 0.1), 0.1, 2.0),
+    (lambda x: 1e-155 * (x * x + x - 1.0), 0.0, 1.0),
+], ids=["cubic_1e-200", "exp_1e-170", "quintic_1e-160", "quadratic_1e-155"])
+def test_underflowing_extrapolation_matches_scipy(f, a, b):
+    # values this small underflow the extrapolation's denominator to 0,
+    # where scipy's C code rejects the step and bisects
+    root = compare_with_scipy(f, a, b)
+    assert a < root < b
+
+
 def test_seeded_families_match_scipy():
     # roots at random places, so that the interpolation, extrapolation
     # and bisection branches and the step-acceptance test all take turns

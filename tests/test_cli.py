@@ -332,6 +332,21 @@ class TestExitCodes:
         assert "Traceback" not in err
         assert err.count("\n") == 1
 
+    def test_overflowing_nehari_power_is_a_numerical_failure(self, tmp_path, capsys):
+        # at s = 0.999 the critical exponent is 2000: t^2000 overflows a
+        # float already at t = 2, so the start has no Nehari bracket
+        text = open(CFG_2D).read().replace("frac.s = 0.5", "frac.s = 0.999")
+        p = write_cfg(tmp_path, text.replace("grid.points_per_dim = 128",
+                                             "grid.points_per_dim = 64"))
+        assert main(["validate", "--config", p]) == EXIT_PASS
+        capsys.readouterr()
+        code = main(["solve", "--config", p, "--out", str(tmp_path / "o")])
+        assert code == EXIT_NUMERICAL
+        err = capsys.readouterr().err
+        assert err.startswith("numerical failure: no Nehari bracket")
+        assert "Traceback" not in err
+        assert err.count("\n") == 1
+
     def test_kernels_near_s_one_is_a_numerical_failure(self, tmp_path, capsys):
         # the conormal ladder's order 2 - 2s is 2.2e-16: every ratio
         # (y_b/y_a)^p rounds to 1 and the extrapolation cancels nothing

@@ -22,7 +22,7 @@ from frns.params import (
     solve_penalization_threshold,
     validate_config,
 )
-from frns.solver import AutonomousConfig, NehariProblem, grid_for_eps
+from frns.solver import NehariProblem, grid_for_eps
 from frns.cli import build_config, load_config
 
 REPO = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
@@ -209,15 +209,15 @@ class TestPenalizedNonlinearity:
 
 
 def test_autonomous_g_and_G_are_untruncated_bit_for_bit():
-    # a = inf leaves the pure f(t+) + (t+)^(2*-1) and its primitive
-    # everywhere, with no inf in any arithmetic
-    problem = NehariProblem.autonomous(
-        AutonomousConfig(mu=-0.2, frac=FRAC, nonlin=NL), Grid(2, 32, 8.0))
+    # Lambda the whole box leaves the pure f(t+) + (t+)^(2*-1) and its
+    # primitive everywhere, also at t >= a
+    problem = NehariProblem.autonomous(default_config(), Grid(2, 32, 8.0))
     rng = np.random.default_rng(3)
     t = rng.uniform(-2.0, 3.0, problem.grid.shape)
     t.flat[::5] = 0.0
     t.flat[1] = 1e10
     assert np.any(t < 0.0) and np.any(t == 0.0) and np.any(t > 0.0)
+    assert np.any(t >= problem.config.a)
     tp = np.maximum(t, 0.0)
     two_star = FRAC.two_star
     with warnings.catch_warnings():
@@ -261,7 +261,7 @@ class TestEnergyAndGradient:
         grid = Grid(2, 64, 12.0)
         problems = (
             NehariProblem.penalized(default_config(), grid),
-            NehariProblem.autonomous(AutonomousConfig(mu=-0.2, frac=FRAC, nonlin=NL), grid),
+            NehariProblem.autonomous(default_config(), grid),
         )
         rng = np.random.default_rng(42)
         for problem in problems:

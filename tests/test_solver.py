@@ -14,10 +14,8 @@ from frns.params import (
     ModelConfig,
     NonlinearitySpec,
     PotentialSpec,
-    AssumptionError,
 )
 from frns.solver import (
-    AutonomousConfig,
     NehariMoments,
     NehariProblem,
     NoBracketError,
@@ -77,15 +75,36 @@ class TestNehariScale:
         t3 = nehari_scale(u3, cfg)
         assert t3 == pytest.approx(t1 / 3.0, rel=1e-12)
 
+    def test_tiny_field_keeps_scale_covariance(self):
+        # at amplitude 1e-60 the root is near t = 1e60, where the mismatch
+        # and its slopes are so small that brentq's extrapolation
+        # denominator underflows to 0 and it bisects
+        cfg = default_config()
+        grid = Grid(2, 64, 18.0)
+        problem = NehariProblem.penalized(cfg, grid)
+        t1 = NehariMoments(problem, gaussian_bump(grid, (-4.0, 0.0))).scale()[0]
+        amp = 1e-60
+        t = NehariMoments(problem, gaussian_bump(grid, (-4.0, 0.0), amplitude=amp)).scale()[0]
+        assert t * amp == pytest.approx(t1, rel=1e-12)
+
+    @pytest.mark.parametrize("amp", [1e-80, 1e-100, 1e-150])
+    def test_overflowing_power_leaves_no_bracket(self, amp):
+        # the root t ~ 1/amp takes t^(2* - 2) and t^(2*) past the largest
+        # float, where Python's pow raises rather than return inf
+        grid = Grid(2, 64, 18.0)
+        problem = NehariProblem.penalized(default_config(), grid)
+        u = gaussian_bump(grid, (-4.0, 0.0), amplitude=amp)
+        with pytest.raises(NoBracketError, match="no Nehari bracket"):
+            NehariMoments(problem, u).scale()
+
     def test_autonomous_closed_form(self):
         # for g(t) = lam t^2 + t^3 the Nehari equation is a quadratic in t:
         # t^2 B + t A - Q = 0 with A = lam sum u^3 h^N, B = sum u^4 h^N,
-        # Q = <Au, u> + mu ||u||^2
-        acfg = AutonomousConfig(mu=-0.2, frac=FRAC, nonlin=NL)
+        # Q = <Au, u> - V0 ||u||^2
         grid = Grid(2, 64, 12.0)
         vals = gaussian_bump(grid, (0.3, -0.5), width=1.3)
         u = Field(grid=grid, values=vals)
-        t = nehari_scale(u, acfg)
+        t = NehariMoments(NehariProblem.autonomous(default_config(), grid), vals).scale()[0]
         from frns.operator import apply_operator, build_symbol, inner
 
         table = build_symbol(grid, FRAC)
@@ -102,8 +121,7 @@ class TestNehariScale:
         cfg = default_config()
         grid = Grid(2, 64, 18.0)
         penalized = NehariProblem.penalized(cfg, grid)
-        autonomous = NehariProblem.autonomous(
-            AutonomousConfig(mu=-0.2, frac=FRAC, nonlin=NL), grid)
+        autonomous = NehariProblem.autonomous(cfg, grid)
         a, outside = cfg.a, ~penalized.in_lambda
         rng = np.random.default_rng(9)
         u = gaussian_bump(grid, (-4.0, 0.0))
@@ -125,6 +143,9 @@ class TestNehariScale:
                 assert moments.mismatch(t) == pytest.approx(pointwise, rel=1e-12)
                 assert moments.energy(t) == pytest.approx(
                     problem.energy(u, quad, t), rel=1e-12)
+                # Lambda is the whole box: nothing truncated at any t
+                if problem is autonomous:
+                    assert moments._split(t)[3] == 0
 
     def test_kept_spectrum_gives_the_gradient_of_the_scaled_field(self):
         # the descent takes J'(t u) from the half spectrum of u that the
@@ -397,8 +418,7 @@ class TestGroundState:
         monkeypatch.setattr(solver, "_descend", lambda problem, start, tol: next(runs))
         monkeypatch.setattr(solver, "_package_result",
                             lambda problem, *best, descents: packaged.append(best) or descents)
-        problem = NehariProblem.autonomous(
-            AutonomousConfig(mu=0.0, frac=FRAC, nonlin=NL), Grid(2, 32, 4.0))
+        problem = NehariProblem.autonomous(default_config(), Grid(2, 32, 4.0))
         descents = solver._best_descent(problem, [np.ones((32, 32))] * 5, None)
         # only the winner is packaged, with every start's record
         assert packaged == [("c", winner, 7, True, None)]
@@ -426,7 +446,7 @@ class TestOneActiveSet:
 
     @staticmethod
     def full_grid_problem(grid):
-        return NehariProblem.autonomous(AutonomousConfig(mu=-0.2, frac=FRAC, nonlin=NL), grid)
+        return NehariProblem.autonomous(default_config(), grid)
 
     def test_step_uses_the_residual_active_set(self):
         import frns.solver as solver
@@ -612,8 +632,8 @@ class TestEvenBlockDescent:
             cfg, _ = build_config(load_config(CFG_1D))
             axes, run = (0,), lambda: ground_state(cfg, grid_for_eps(cfg, cfg.eps, 1024))
         elif case == "d_V0":
-            auto = AutonomousConfig(mu=-0.2, frac=FRAC, nonlin=NL)
-            axes, run = (0, 1), lambda: autonomous_ground_state(auto, Grid(2, 128, 20.0))
+            axes, run = (0, 1), lambda: autonomous_ground_state(default_config(),
+                                                                Grid(2, 128, 20.0))
         else:
             n = int(case[3:])
             axes, run = (1,), lambda: ground_state(default_config(), Grid(2, n, 18.0))
@@ -649,8 +669,7 @@ class TestEvenBlockDescent:
 GRID_32 = Grid(2, 32, 18.0)
 PROBLEMS_32 = {
     "penalized": NehariProblem.penalized(default_config(), GRID_32),
-    "autonomous": NehariProblem.autonomous(
-        AutonomousConfig(mu=-0.2, frac=FRAC, nonlin=NL), GRID_32),
+    "autonomous": NehariProblem.autonomous(default_config(), GRID_32),
 }
 # a bump inside Lambda_eps (|x| < 10 at eps = 0.25) plus one outside it,
 # where the penalized nonlinearity is truncated
@@ -700,28 +719,24 @@ def test_scaled_field_on_nehari_manifold(kind, u):
 
 
 class TestAutonomous:
-    def test_invalid_mu_rejected(self):
-        with pytest.raises(AssumptionError):
-            AutonomousConfig(mu=-1.0, frac=FRAC, nonlin=NL)
-
     def test_level_increases_with_mu(self):
-        # d_mu is nondecreasing in mu: a deeper constant well lowers the level
+        # d_mu is nondecreasing in mu = -V0: a deeper constant well lowers
+        # the level
         grid = Grid(2, 64, 14.0)
         levels = []
-        for mu in (-0.2, 0.0):
-            acfg = AutonomousConfig(mu=mu, frac=FRAC, nonlin=NL)
-            res = autonomous_ground_state(acfg, grid)
+        for depth in (0.2, 0.1):
+            pot = replace(POT, V1=depth, V0=depth)
+            res = autonomous_ground_state(replace(default_config(), potential=pot), grid)
             assert res.converged
             levels.append(res.energy)
         assert levels[0] < levels[1]
 
     def test_translation_invariance(self):
         grid = Grid(2, 64, 14.0)
-        acfg = AutonomousConfig(mu=-0.2, frac=FRAC, nonlin=NL)
         e = []
         for center in ((0.0, 0.0), (2.0, -1.5)):
             init = gaussian_bump(grid, center)
-            res = autonomous_ground_state(acfg, grid, init=init)
+            res = autonomous_ground_state(default_config(), grid, init=init)
             assert res.converged
             e.append(res.energy)
         assert e[0] == pytest.approx(e[1], rel=1e-6)
