@@ -562,10 +562,10 @@ def cmd_sstar(args) -> int:
     from .operator import estimate_s_star
 
     raw = load_config(args.config)
+    cfg, _ = build_config(raw)
     cfg_hash = config_hash(raw)
-    frac = FracParams(s=raw["frac.s"], m=raw["frac.m"], n_dim=raw["frac.n_dim"])
     os.makedirs(args.out, exist_ok=True)
-    out = estimate_s_star(frac)
+    out = estimate_s_star(cfg.frac)
     formula = out["formula"]
     rows = [
         (rho, q, formula) for rho, q in zip(out["rho_values"], out["quotients"])

@@ -39,13 +39,12 @@ def potential_values(pot: PotentialSpec, *coords):
 def g_eval(config, in_lambda, t):
     """Penalized nonlinearity g(x, t).
 
-    Inside Lambda: f(t) + (t+)^(2*_s - 1).  Outside: the same below the
-    threshold a, and slope * t above it (slope = V1/kappa); the two
-    branches agree at t = a by the threshold identity.  Zero for t <= 0.
-
-    `config` (a ModelConfig) supplies `nonlin`, `two_star`, `a` and
-    `slope`.  `in_lambda` marks x in Lambda, broadcast to the shape of
-    t; where it holds everywhere, g is untruncated for every a.
+    Inside Lambda: f(t) + (t+)^(2*_s - 1), the sum c t^(e-1) over the
+    config's `terms`.  Outside: the same below the threshold a, and
+    slope * t above it (slope = V1/kappa); the two branches agree at
+    t = a by the threshold identity.  Zero for t <= 0.  `in_lambda`
+    marks x in Lambda, broadcast to the shape of t; where it holds
+    everywhere, g is untruncated for every a.
     """
     t = np.asarray(t, dtype=float)
     # only t > 0 (and nan, which stays nan) goes through pow: it takes a
@@ -53,7 +52,7 @@ def g_eval(config, in_lambda, t):
     pos = np.logical_not(t <= 0.0)
     tp = t[pos]
     g = np.zeros(t.shape)
-    g[pos] = config.nonlin.f(tp) + tp ** (config.two_star - 1.0)
+    g[pos] = sum(c * tp ** (e - 1.0) for c, e in config.terms)
     high = np.logical_and(np.logical_not(in_lambda), t >= config.a)
     if high.any():
         g[high] = config.slope * t[high]
@@ -61,22 +60,19 @@ def g_eval(config, in_lambda, t):
 
 
 def G_eval(config, in_lambda, t):
-    """Primitive G(x, t) = int_0^t g(x, tau) dtau, closed form per branch.
-
-    For x outside Lambda and t >= a:
-        F(a) + a^(2*_s)/2*_s + (slope / 2)(t^2 - a^2),
-    which matches the inner branch C^1 at t = a; it is evaluated only
-    where it applies, so an `in_lambda` that holds everywhere leaves G
-    untruncated.
+    """Primitive G(x, t) = int_0^t g(x, tau) dtau: sum c (t+)^e / e over
+    the `terms`, and G_a + (slope / 2)(t^2 - a^2) for x outside Lambda
+    and t >= a, which matches the inner branch C^1 at t = a; it is
+    evaluated only where it applies, so an `in_lambda` that holds
+    everywhere leaves G untruncated.
     """
-    nl, two_star, a = config.nonlin, config.two_star, config.a
+    a = config.a
     t = np.asarray(t, dtype=float)
     tp = np.maximum(t, 0.0)
-    G = np.asarray(nl.F(tp) + tp**two_star / two_star)  # a 0-d t gives a numpy scalar
+    G = np.asarray(sum(c * tp**e / e for c, e in config.terms))  # a 0-d t gives a numpy scalar
     high = np.logical_and(np.logical_not(in_lambda), t >= a)
     if high.any():
-        G_at_a = float(nl.F(a) + a**two_star / two_star)
-        G[high] = G_at_a + (0.5 * config.slope) * (t[high] ** 2 - a**2)
+        G[high] = config.G_a + (0.5 * config.slope) * (t[high] ** 2 - a**2)
     return G
 
 

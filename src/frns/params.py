@@ -194,8 +194,8 @@ class NonlinearitySpec:
 
     The Ambrosetti-Rabinowitz exponent theta (named ar_theta: theta is
     taken by the extension profile) equals p for the pure power, and q
-    is the growth cap, p < q < 2*_s.  `f` and `F` take t >= 0 (callers
-    clip t to t+), as a float or an array.
+    is the growth cap, p < q < 2*_s.  f enters the model as the first
+    of the `power_terms`.
     """
 
     lam: float
@@ -203,11 +203,12 @@ class NonlinearitySpec:
     ar_theta: float
     q: float
 
-    def f(self, t):
-        return self.lam * t ** (self.p - 1.0)
 
-    def F(self, t):
-        return self.lam * t**self.p / self.p
+def power_terms(frac: FracParams, nonlin: NonlinearitySpec) -> tuple:
+    """f(t) + t^(2*_s - 1) as the terms (c, e) of sum c t^(e-1), whose
+    primitive is sum c t^e / e: ((lambda, p), (1.0, 2*_s)), in rising e
+    ((f2): p < 2*_s), summed in this order from 0 wherever it is used."""
+    return (nonlin.lam, nonlin.p), (1.0, frac.two_star)
 
 
 def solve_penalization_threshold(
@@ -215,17 +216,17 @@ def solve_penalization_threshold(
 ) -> float:
     """Smallest positive root a of f(a) + a^(2*_s - 1) = (V1/kappa) a.
 
-    For the power model this reads lambda a^(p-2) + a^(2*_s - 2) =
-    V1/kappa, whose left side is continuous, increasing and onto
+    Divided by a, it reads sum c a^(e-2) = V1/kappa over the
+    `power_terms`, whose left side is continuous, increasing and onto
     (0, inf), so a unique positive root exists.  Bracketing bisection
     followed by a Brent polish; residual of the defining equation is
     required to be <= 1e-12.
     """
-    two_star = frac.two_star
+    terms = power_terms(frac, nonlin)
     rhs = V1 / kappa
 
     def lhs(t):
-        return nonlin.lam * t ** (nonlin.p - 2.0) + t ** (two_star - 2.0)
+        return sum(c * t ** (e - 2.0) for c, e in terms)
 
     lo, hi = 1e-12, 1.0
     while lhs(hi) < rhs:
@@ -237,7 +238,7 @@ def solve_penalization_threshold(
         if lo < 1e-300:
             raise AssumptionError("threshold a", "no positive root found down to 0")
     a = brentq(lambda t: lhs(t) - rhs, lo, hi, xtol=1e-300, rtol=8.9e-16)
-    resid = abs(nonlin.f(a) + a ** (two_star - 1.0) - rhs * a)
+    resid = abs(sum(c * a ** (e - 1.0) for c, e in terms) - rhs * a)
     if resid > 1e-12 * max(1.0, rhs * a):
         raise AssumptionError("threshold a", f"root residual {resid:.3e} too large")
     return float(a)
@@ -250,7 +251,8 @@ def solve_penalization_threshold(
 @dataclass(frozen=True)
 class ModelConfig:
     """All problem parameters, validated jointly at construction, which
-    also derives the penalization threshold `a` (`validate_config`)."""
+    also derives the penalization threshold `a` (`validate_config`), the
+    nonlinearity's `power_terms` and G_a = sum c a^e / e, G at t = a."""
 
     frac: FracParams
     eps: float
@@ -258,13 +260,13 @@ class ModelConfig:
     nonlin: NonlinearitySpec
     kappa: float
     a: float = field(init=False)
+    terms: tuple = field(init=False)
+    G_a: float = field(init=False)
 
     def __post_init__(self):
         object.__setattr__(self, "a", validate_config(self))
-
-    @property
-    def two_star(self) -> float:
-        return self.frac.two_star
+        object.__setattr__(self, "terms", power_terms(self.frac, self.nonlin))
+        object.__setattr__(self, "G_a", sum(c * self.a**e / e for c, e in self.terms))
 
     @property
     def slope(self) -> float:

@@ -72,11 +72,11 @@ class NehariProblem:
     `even_block`, where each sum over the grid weights a sample by the
     full-grid samples it stands for (`weight`).
 
-    Both use the power model g(x, t) = lam t^(p-1) + t^(2*_s - 1) for
-    t > 0, replaced by slope * t outside `in_lambda` where t >= a.
-    `config` holds its scalars: `nonlin`, `two_star`, `a` and `slope`.
-    `g` and `G` evaluate it pointwise through `model.g_eval` and
-    `model.G_eval`, and `NehariMoments` from per-candidate power sums.
+    Both use the power law g(x, t) = sum c t^(e-1) over the config's
+    `terms` (c, e) for t > 0, replaced by slope * t outside `in_lambda`
+    where t >= a; `config` also holds `a`, `slope` and G_a.  `g` and `G`
+    evaluate it pointwise through `model.g_eval` and `model.G_eval`, and
+    `NehariMoments` from one power sum per term and candidate.
     """
 
     grid: Grid
@@ -121,7 +121,7 @@ class NehariProblem:
                        in_lambda=g.block(self.in_lambda, axes),
                        weight=np.broadcast_to(g.multiplicity(axes), V.shape).copy())
 
-    @property
+    @cached_property
     def cell_volume(self) -> float:
         return self.grid.spacing**self.grid.n_dim
 
@@ -187,61 +187,60 @@ class NehariProblem:
 class NehariMoments:
     """<J'(t u), t u>/t^2 and J(t u) of one candidate u, for every t > 0.
 
-    Where the full nonlinearity acts, g(x, t u) u / t = lam t^(p-2) u^p
-    + t^(2*-2) u^(2*); at the points outside Lambda_eps with t u >= a it
-    is slope * u^2 instead, and G follows the same split.  So the sums
-    of u^p and u^(2*) are taken once, as dot products of the powers of
-    u+ = max(u, 0) with the problem's weights inside and outside Lambda
-    (`NehariProblem.weight_in`, `weight_out`).  Only a t that makes the
-    truncated branch act (t * max(u outside) >= a) splits the outside
-    sums, with one masked pass over the values at a/t.  Values u <= 0
-    contribute nothing, as g and G vanish there.  Every sum and count
-    weights a value by the problem's `weight`.
+    Where the full nonlinearity acts, g(x, t u) u / t = sum c t^(e-2) u^e
+    over the config's `terms` (c, e); at the points outside Lambda_eps
+    with t u >= a it is slope * u^2 instead, and G follows the same
+    split.  So each sum of u^e is taken once, as dot products of u+^e
+    with the problem's weights inside Lambda (`sums_in`) and in all
+    (`sums`).  Only a t that makes the truncated branch act (t * max(u
+    outside) >= a) splits the outside sums, with one masked pass over
+    the values at a/t.  Values u <= 0 contribute nothing, as g and G
+    vanish there.  Every sum and count weights a value by the problem's
+    `weight` (`NehariProblem.weight_in`, `weight_out`).
     The half spectrum of u behind ||u||^2 is kept (`vhat`): scaled by t
     it is that of t u.
     """
 
     def __init__(self, problem: NehariProblem, u_vals):
-        p, two_star = problem.config.nonlin.p, problem.config.two_star
         u = np.maximum(u_vals, 0.0)
-        u_p, u_s = _power(u, p), _power(u, two_star)
-        self.sum_s_in = float(np.vdot(problem.weight_in, u_s))
+        self._powers = [_power(u, e) for _, e in problem.config.terms]
+        self.sums_in = tuple(float(np.vdot(problem.weight_in, pw)) for pw in self._powers)
         # a positive sum has a term with u > 0 inside; else look for one
-        if not self.sum_s_in > 0.0 and not np.any(u_vals[problem.in_lambda] > 0.0):
+        if not max(self.sums_in) > 0.0 and not np.any(u_vals[problem.in_lambda] > 0.0):
             raise NoPositivePartError(
                 "field has no positive part inside the well region; no Nehari scale"
             )
         self.problem = problem
         self.vhat = half_spectrum(u_vals, problem.table.even_axes)
         self.quad = problem.quadratic(u_vals, self.vhat)
-        self.sum_p_in = float(np.vdot(problem.weight_in, u_p))
-        self.sum_p = self.sum_p_in + float(np.vdot(problem.weight_out, u_p))
-        self.sum_s = self.sum_s_in + float(np.vdot(problem.weight_out, u_s))
-        self._u_p, self._u_s = u_p, u_s
+        self.sums = tuple(s_in + float(np.vdot(problem.weight_out, pw))
+                          for s_in, pw in zip(self.sums_in, self._powers))
         self._u_out = u * problem.outside
         self.max_out = float(np.max(self._u_out))
 
     def scale(self) -> tuple:
         """(t, J(t u)) for the unique t > 0 with <J'(t u), t u> = 0.
 
-        Each evaluation of the mismatch in the root solve, and J(t u) at
-        the root, takes no pass over the grid unless the truncated branch
-        acts at t.  A power of t that overflows a float (Python raises
-        there rather than return inf) leaves no bracket either.
+        The bracket scan steps t by 2, or less where a step would grow
+        t^(e-2) of the last, top term by over 2^512.  Each mismatch in
+        the root solve, and J(t u) at the root, takes no pass over the
+        grid unless the truncated branch acts at t.  A power of t past
+        the largest float (Python raises there) leaves no bracket either.
         """
+        step = 2.0 ** min(1.0, 512.0 / (self.problem.config.terms[-1][1] - 2.0))
         lo = hi = 1.0
         try:
             f_lo = f_hi = self.mismatch(1.0)
             # The mismatch falls from ||u||^2 at t -> 0 to -inf at t -> inf (the
-            # inside part has a positive u^(2*) sum), so each scan ends; it ends
+            # inside part has a positive top-power sum), so each scan ends; it ends
             # without a bracket only where t or the mismatch is no finite number.
             if f_hi > 0.0:
                 while f_hi > 0.0:
-                    lo, hi = hi, 2.0 * hi
+                    lo, hi = hi, hi * step
                     f_hi = self.mismatch(hi)
             else:
                 while f_lo <= 0.0 and lo > 0.0:
-                    hi, lo = lo, 0.5 * lo
+                    hi, lo = lo, lo / step
                     f_lo = self.mismatch(lo)
             if not (lo > 0.0 and math.isfinite(hi) and math.isfinite(f_lo)
                     and math.isfinite(f_hi)):
@@ -254,50 +253,53 @@ class NehariMoments:
                                  f"between t = {lo} and t = {hi}") from None
 
     def _split(self, t) -> tuple:
-        """(sum u^p, sum u^(2*)) over the full-nonlinearity points, and
-        (sum u^2, count) over the truncated ones, at scale t; not the
-        totals less the truncated part, which cancels digits."""
-        cfg = self.problem.config
-        if t * self.max_out < cfg.a:
-            return self.sum_p, self.sum_s, 0.0, 0
-        lin = self._u_out >= cfg.a / t
+        """(per-term sums of u^e over the full-nonlinearity points, sum
+        u^2 and count over the truncated ones) at scale t; not the totals
+        less the truncated part, which cancels digits."""
+        a = self.problem.config.a
+        if t * self.max_out < a:
+            return self.sums, 0.0, 0
+        lin = self._u_out >= a / t
         w_lin = self.problem.weight_out * lin
         w_full = self.problem.weight_out - w_lin
-        return (self.sum_p_in + float(np.vdot(w_full, self._u_p)),
-                self.sum_s_in + float(np.vdot(w_full, self._u_s)),
+        return (tuple(s_in + float(np.vdot(w_full, pw))
+                      for s_in, pw in zip(self.sums_in, self._powers)),
                 float(np.vdot(w_lin, self._u_out**2)), float(np.sum(w_lin)))
 
     def mismatch(self, t) -> float:
         """<J'(t u), t u>/t^2 = ||u||^2 - sum g(x, t u) u h^N / t,
         nonincreasing in t."""
-        cfg, nl = self.problem.config, self.problem.config.nonlin
-        sum_p, sum_s, sum_2, _ = self._split(t)
-        pairing = (nl.lam * t ** (nl.p - 2.0) * sum_p
-                   + t ** (cfg.two_star - 2.0) * sum_s + cfg.slope * sum_2)
-        return self.quad - self.problem.cell_volume * pairing
+        cfg = self.problem.config
+        sums, sum_2, _ = self._split(t)
+        pairing = 0.0
+        for (c, e), s in zip(cfg.terms, sums):
+            pairing += c * t ** (e - 2.0) * s
+        return self.quad - self.problem.cell_volume * (pairing + cfg.slope * sum_2)
 
     def energy(self, t) -> float:
         """J(t u), with the closed-form linear branch of G past a."""
-        cfg, nl = self.problem.config, self.problem.config.nonlin
-        two_star, a = cfg.two_star, cfg.a
-        sum_p, sum_s, sum_2, n_lin = self._split(t)
-        G_sum = (nl.lam * t**nl.p * sum_p / nl.p
-                 + t**two_star * sum_s / two_star
-                 + 0.5 * cfg.slope * t * t * sum_2)
+        cfg = self.problem.config
+        sums, sum_2, n_lin = self._split(t)
+        G_sum = 0.0
+        for (c, e), s in zip(cfg.terms, sums):
+            G_sum += c * t**e * s / e
+        G_sum += 0.5 * cfg.slope * t * t * sum_2
         if n_lin:
             # G(x, s) = G(a) + slope (s^2 - a^2)/2 on the truncated branch
-            G_sum += n_lin * (nl.lam * a**nl.p / nl.p + a**two_star / two_star
-                              - 0.5 * cfg.slope * a * a)
+            G_sum += n_lin * (cfg.G_a - 0.5 * cfg.slope * cfg.a * cfg.a)
         return 0.5 * t * t * self.quad - self.problem.cell_volume * G_sum
 
 
 def _power(x, e):
     """x**e for x >= 0, as products when e is an integer from 2 to 8, else
     by pow with the zeros set to 1 and back: numpy's pow costs several
-    products, and far more on a 0.0 base."""
+    products, and far more on a 0.0 base.  A power past the largest
+    float is inf, without a warning: the Nehari scan then finds no
+    bracket."""
     if not (2 <= e <= 8 and float(e).is_integer()):
         pos = x > 0.0
-        return np.where(pos, x, 1.0) ** e * pos
+        with np.errstate(over="ignore"):
+            return np.where(pos, x, 1.0) ** e * pos
     out = x * x
     for _ in range(int(e) - 2):
         out *= x

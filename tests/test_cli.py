@@ -332,10 +332,26 @@ class TestExitCodes:
         assert "Traceback" not in err
         assert err.count("\n") == 1
 
+    @pytest.mark.parametrize("s", ["0.999", "0.9995"])
+    def test_large_critical_exponent_converges(self, tmp_path, capsys, s):
+        # 2*_s is 2000 and 4000: the Nehari scan steps t by 2^(512/(2* - 2)),
+        # not by 2, where t^2000 already overflows a float
+        text = open(CFG_2D).read().replace("frac.s = 0.5", f"frac.s = {s}")
+        p = write_cfg(tmp_path, text.replace("grid.points_per_dim = 128",
+                                             "grid.points_per_dim = 64"))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = main(["solve", "--config", p, "--out", str(tmp_path / "o")])
+        captured = capsys.readouterr()
+        assert code == EXIT_PASS, captured.err
+        assert captured.out.startswith("converged:") and captured.err == ""
+
     def test_overflowing_nehari_power_is_a_numerical_failure(self, tmp_path, capsys):
-        # at s = 0.999 the critical exponent is 2000: t^2000 overflows a
-        # float already at t = 2, so the start has no Nehari bracket
-        text = open(CFG_2D).read().replace("frac.s = 0.5", "frac.s = 0.999")
+        # at s = 0.99999 the critical exponent is 200000: the scan's step
+        # 2^(512/199998) takes t^199998 past the largest float in two
+        # steps, before the mismatch changes sign, so the start has no
+        # Nehari bracket
+        text = open(CFG_2D).read().replace("frac.s = 0.5", "frac.s = 0.99999")
         p = write_cfg(tmp_path, text.replace("grid.points_per_dim = 128",
                                              "grid.points_per_dim = 64"))
         assert main(["validate", "--config", p]) == EXIT_PASS
@@ -486,7 +502,7 @@ class TestOneGate:
             text = text.replace(old, new)
         p = write_cfg(tmp_path, text + appended)
         errors = {}
-        for command in ("validate", "solve", "sweep", "kernels"):
+        for command in ("validate", "solve", "sweep", "kernels", "sstar"):
             out = tmp_path / command
             argv = ["--config", p] + (["--out", str(out)] if command != "validate" else [])
             with warnings.catch_warnings():

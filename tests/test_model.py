@@ -109,7 +109,7 @@ class TestPenalizationThreshold:
         a = solve_penalization_threshold(FRAC, NL, V1, kappa)
 
         def mismatch(t):
-            return NL.f(t) + t ** (FRAC.two_star - 1.0) - (V1 / kappa) * t
+            return NL.lam * t ** (NL.p - 1.0) + t ** (FRAC.two_star - 1.0) - (V1 / kappa) * t
 
         ref = bisect(mismatch, 1e-12, 1.0, xtol=1e-15)
         assert a == pytest.approx(ref, rel=1e-9)
@@ -149,7 +149,7 @@ class TestPenalizedNonlinearity:
         cfg = default_config()
         t = np.linspace(0.0, 2.0, 50)
         inside = np.ones_like(t, dtype=bool)
-        ref = NL.f(t) + np.maximum(t, 0.0) ** 3
+        ref = NL.lam * t ** (NL.p - 1.0) + np.maximum(t, 0.0) ** 3
         assert np.allclose(g_eval(cfg, inside, t), ref, rtol=1e-14)
 
     def test_g_linear_above_a_outside(self):
@@ -223,8 +223,8 @@ def test_autonomous_g_and_G_are_untruncated_bit_for_bit():
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         g, G = problem.g(t), problem.G(t)
-    assert np.array_equal(g, NL.f(tp) + tp ** (two_star - 1.0))
-    assert np.array_equal(G, NL.F(tp) + tp**two_star / two_star)
+    assert np.array_equal(g, NL.lam * tp ** (NL.p - 1.0) + tp ** (two_star - 1.0))
+    assert np.array_equal(G, NL.lam * tp**NL.p / NL.p + tp**two_star / two_star)
 
 
 def _g_all_pow(config, in_lambda, t):
@@ -232,7 +232,7 @@ def _g_all_pow(config, in_lambda, t):
     nl, pot = config.nonlin, config.potential
     t = np.asarray(t, dtype=float)
     tp = np.maximum(t, 0.0)
-    full = nl.f(tp) + tp ** (config.two_star - 1.0)
+    full = nl.lam * tp ** (nl.p - 1.0) + tp ** (config.frac.two_star - 1.0)
     linear = (pot.V1 / config.kappa) * t
     outside_high = np.logical_and(np.logical_not(in_lambda), t >= config.a)
     return np.where(outside_high, linear, full)
@@ -254,6 +254,22 @@ def test_g_skipping_pow_on_nonpositive_is_bit_equal(path):
     assert np.any(mask & (t > 0.0)) and np.any(outside & (t == a))
     assert np.any(outside & (t > a))
     assert np.array_equal(g_eval(cfg, mask, t), _g_all_pow(cfg, mask, t))
+
+
+@pytest.mark.parametrize("path", SHIPPED, ids=os.path.basename)
+def test_G_meets_G_a_at_the_seam(path):
+    # at t = a the inner sum over the terms and the truncated branch
+    # G_a + slope (a^2 - a^2)/2 both give the config's G_a, bit for bit
+    cfg, _ = build_config(load_config(path))
+    a = cfg.a
+    t = np.full(64, a)
+    for inside in (True, False):
+        assert G_eval(cfg, inside, a) == cfg.G_a
+        assert np.all(G_eval(cfg, np.full(t.shape, inside), t) == cfg.G_a)
+    # the threshold identity sum c a^(e-1) = slope a, within the 1e-12
+    # that the threshold solve enforces
+    resid = sum(c * a ** (e - 1.0) for c, e in cfg.terms) - cfg.slope * a
+    assert abs(resid) <= 1e-12 * max(1.0, cfg.slope * a)
 
 
 class TestEnergyAndGradient:

@@ -145,7 +145,7 @@ class TestNehariScale:
                     problem.energy(u, quad, t), rel=1e-12)
                 # Lambda is the whole box: nothing truncated at any t
                 if problem is autonomous:
-                    assert moments._split(t)[3] == 0
+                    assert moments._split(t)[2] == 0
 
     def test_kept_spectrum_gives_the_gradient_of_the_scaled_field(self):
         # the descent takes J'(t u) from the half spectrum of u that the
@@ -181,26 +181,25 @@ class ExtractedMoments(NehariMoments):
         self.problem = problem
         self.vhat = half_spectrum(u_vals, problem.table.even_axes)
         self.quad = problem.quadratic(u_vals, self.vhat)
-        p, two_star = problem.config.nonlin.p, problem.config.two_star
+        self.exponents = [e for _, e in problem.config.terms]
         u_in, w_in = u_vals[inside], problem.weight[inside]
         out = np.logical_and(pos, np.logical_not(problem.in_lambda))
         self.u_out, self.w_out = u_vals[out], problem.weight[out]
-        self.sum_p_in = float(np.sum(w_in * u_in**p))
-        self.sum_s_in = float(np.sum(w_in * u_in**two_star))
-        self.sum_p = self.sum_p_in + float(np.sum(self.w_out * self.u_out**p))
-        self.sum_s = self.sum_s_in + float(np.sum(self.w_out * self.u_out**two_star))
+        self.sums_in = tuple(float(np.sum(w_in * u_in**e)) for e in self.exponents)
+        self.sums = tuple(s_in + float(np.sum(self.w_out * self.u_out**e))
+                          for s_in, e in zip(self.sums_in, self.exponents))
         self.max_out = float(np.max(self.u_out, initial=0.0))
 
     def _split(self, t):
         cfg = self.problem.config
         if t * self.max_out < cfg.a:
-            return self.sum_p, self.sum_s, 0.0, 0
+            return self.sums, 0.0, 0
         order = np.argsort(self.u_out)
         w, mult = self.u_out[order], self.w_out[order]
         k = int(np.searchsorted(w, cfg.a / t))
         lin = slice(k, None)
-        return (self.sum_p_in + float(np.sum((mult * w**cfg.nonlin.p)[:k])),
-                self.sum_s_in + float(np.sum((mult * w**cfg.two_star)[:k])),
+        return (tuple(s_in + float(np.sum((mult * w**e)[:k]))
+                      for s_in, e in zip(self.sums_in, self.exponents)),
                 float(np.sum((mult * w * w)[lin])), float(np.sum(mult[lin])))
 
 
@@ -242,7 +241,7 @@ class TestMomentsAgainstExtraction:
         acted = {}
         for name, problem, u in self.cases():
             new, ref = NehariMoments(problem, u), ExtractedMoments(problem, u)
-            for key in ("sum_p_in", "sum_s_in", "sum_p", "sum_s", "max_out"):
+            for key in ("sums_in", "sums", "max_out"):
                 assert getattr(new, key) == pytest.approx(getattr(ref, key), rel=1e-13), \
                     (name, key)
             t, E = new.scale()
@@ -264,12 +263,12 @@ class TestMomentsAgainstExtraction:
             new, ref = NehariMoments(problem, u), ExtractedMoments(problem, u)
             for ratio in (0.5, 1.0, 1.5, 4.0, 100.0, 1e4, 1e6):
                 t = ratio * problem.config.a / new.max_out
-                split = new._split(t)
-                for got, want in zip(split, ref._split(t)):
-                    assert got == pytest.approx(want, rel=1e-13), ratio
+                split, want = new._split(t), ref._split(t)
+                for got, expected in zip(split[0] + split[1:], want[0] + want[1:]):
+                    assert got == pytest.approx(expected, rel=1e-13), ratio
                 assert new.energy(t) == pytest.approx(ref.energy(t), rel=1e-12), ratio
                 if ratio != 1.0:
-                    assert (split[3] > 0.0) == (ratio > 1.0), ratio
+                    assert (split[2] > 0.0) == (ratio > 1.0), ratio
 
     def test_no_positive_part_exactly_when_none_inside(self):
         cfg = default_config()
@@ -620,7 +619,7 @@ class TestEvenBlockDescent:
         for t in ts:
             assert on_block.mismatch(t) == pytest.approx(on_grid.mismatch(t), rel=1e-12)
             assert on_block.energy(t) == pytest.approx(on_grid.energy(t), rel=1e-12)
-        assert on_block._split(ts[1])[3] == on_grid._split(ts[1])[3] > 0
+        assert on_block._split(ts[1])[2] == on_grid._split(ts[1])[2] > 0
         assert on_block.scale() == pytest.approx(on_grid.scale(), rel=1e-12)
 
     @pytest.mark.parametrize("case", ["2d_128", "2d_256", "1d", "d_V0"])
