@@ -12,11 +12,20 @@ runs when it starts.
 """
 
 import argparse
-import hashlib
 import json
 import math
 import os
 import sys
+
+# SHA-256 from CPython's own module: hashlib would load OpenSSL's libcrypto,
+# about 4 MB of every process's peak RSS, to hash a few hundred bytes
+try:
+    from _sha2 import sha256
+except ImportError:  # Python before 3.12
+    try:
+        from _sha256 import sha256
+    except ImportError:
+        from hashlib import sha256
 
 from . import __version__
 from .params import (
@@ -151,13 +160,13 @@ def load_config(path):
 
 
 def config_hash(raw) -> str:
-    """Hex digest of the canonicalized config (sorted key = repr lines).
+    """SHA-256 hex digest of the canonical config (sorted key = repr lines).
 
     Only the keys the file sets are hashed, so adding or removing an
     optional schema key leaves the hash of an unchanged file alone.
     """
     canon = "\n".join(f"{k} = {raw[k]!r}" for k in sorted(raw))
-    return hashlib.sha256(canon.encode("utf-8")).hexdigest()
+    return sha256(canon.encode("utf-8")).hexdigest()
 
 
 def build_config(raw):

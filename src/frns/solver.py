@@ -222,27 +222,32 @@ class NehariMoments:
         """(t, J(t u)) for the unique t > 0 with <J'(t u), t u> = 0.
 
         The bracket scan steps t by 2, or less where a step would grow
-        t^(e-2) of the last, top term by over 2^512.  Each mismatch in
-        the root solve, and J(t u) at the root, takes no pass over the
-        grid unless the truncated branch acts at t.  A power of t past
-        the largest float (Python raises there) leaves no bracket either.
+        t^(e-2) of the last, top term by over 2^512, and goes up to no
+        t past t_max, where t or t^(e-2) reaches 2^1023.  Each mismatch
+        in the root solve, and J(t u) at the root, takes no pass over
+        the grid unless the truncated branch acts at t.  A root past
+        t_max, or a power of t past the largest float (Python raises
+        there), leaves no bracket.
         """
-        step = 2.0 ** min(1.0, 512.0 / (self.problem.config.terms[-1][1] - 2.0))
+        e_top = self.problem.config.terms[-1][1] - 2.0
+        step = 2.0 ** min(1.0, 512.0 / e_top)
+        t_max = 2.0 ** min(1023.0 / e_top, 1023.0)
         lo = hi = 1.0
         try:
             f_lo = f_hi = self.mismatch(1.0)
             # The mismatch falls from ||u||^2 at t -> 0 to -inf at t -> inf (the
             # inside part has a positive top-power sum), so each scan ends; it ends
-            # without a bracket only where t or the mismatch is no finite number.
+            # without a bracket only at t_max, at t = 0 or where the mismatch is
+            # no finite number.
             if f_hi > 0.0:
-                while f_hi > 0.0:
-                    lo, hi = hi, hi * step
+                while f_hi > 0.0 and hi < t_max:
+                    lo, hi = hi, min(hi * step, t_max)
                     f_hi = self.mismatch(hi)
             else:
                 while f_lo <= 0.0 and lo > 0.0:
                     hi, lo = lo, lo / step
                     f_lo = self.mismatch(lo)
-            if not (lo > 0.0 and math.isfinite(hi) and math.isfinite(f_lo)
+            if not (lo > 0.0 and f_hi <= 0.0 and math.isfinite(f_lo)
                     and math.isfinite(f_hi)):
                 raise NoBracketError(f"no Nehari bracket: mismatch {f_lo} at t = {lo}, "
                                      f"{f_hi} at t = {hi}")
@@ -638,16 +643,16 @@ def shell_envelope(result: SolveResult) -> tuple:
     return (np.arange(env.size) + 0.5) * width, env
 
 
-def decay_fit(result: SolveResult) -> dict:
-    """Least-squares fit u ~ C1 exp(-C2 |x - x_max|) on the annulus
-    where u is between 1e-8 and 1e-2 of its sup.
+def decay_annulus(result: SolveResult) -> tuple:
+    """(radii, env): the shells of `shell_envelope` that `decay_fit`
+    fits, where u is between 1e-8 and 1e-2 of its sup and still
+    decaying; at least 3 of them, or a DomainError.
 
-    The fit runs on the radial shell envelope (`shell_envelope`), not
-    on raw grid values: the spectral truncation leaves an oscillatory
-    noise floor of relative size O(h^2) in the far field, and raw
-    points below it carry no decay information.  Shells past the
-    radius where the envelope stops decreasing are excluded for the
-    same reason.
+    The fit runs on the radial shell envelope, not on raw grid values:
+    the spectral truncation leaves an oscillatory noise floor of
+    relative size O(h^2) in the far field, and raw points below it
+    carry no decay information.  Shells past the radius where the
+    envelope stops decreasing are excluded for the same reason.
     """
     sup = result.sup_norm
     radii, env = shell_envelope(result)
@@ -689,21 +694,28 @@ def decay_fit(result: SolveResult) -> dict:
             "1e-02 of its sup before reaching the noise floor "
             "(box too small or grid too coarse?)"
         )
-    x = radii[sel]
-    y = np.log(env[sel])
-    A = np.stack([np.ones_like(x), -x], axis=1)
-    coef, *_ = np.linalg.lstsq(A, y, rcond=None)
-    yhat = A @ coef
-    ss_res = float(np.sum((y - yhat) ** 2))
-    ss_tot = float(np.sum((y - np.mean(y)) ** 2))
+    return radii[sel], env[sel]
+
+
+def decay_fit(result: SolveResult) -> dict:
+    """Least-squares fit u ~ C1 exp(-C2 |x - x_max|) on `decay_annulus`,
+    in closed form from centred sums, with no LAPACK call: over 3 or more
+    distinct radii the line log u = c0 - C2 r is never singular."""
+    x, env = decay_annulus(result)
+    y = np.log(env)
+    x_mean, y_mean = np.mean(x), np.mean(y)
+    dx, dy = x - x_mean, y - y_mean
+    C2 = -float(np.sum(dx * dy) / np.sum(dx * dx))
+    resid = dy + C2 * dx
+    ss_res = float(np.sum(resid**2))
+    ss_tot = float(np.sum(dy**2))
     r2 = 1.0 - ss_res / ss_tot if ss_tot > 0.0 else 1.0
     # lift the prefactor to the least upper envelope at the fitted
     # slope, so u <= C1 exp(-C2 r) genuinely holds on the annulus (a
     # centered least-squares line cannot satisfy a pointwise bound)
-    C2 = float(coef[1])
-    C1 = float(np.exp(coef[0] + np.max(y - yhat)))
+    C1 = float(np.exp(y_mean + C2 * x_mean + np.max(resid)))
     # pointwise upper-bound check with 10% slack on the fitted shells
-    bound_ok = bool(np.all(env[sel] <= 1.1 * C1 * np.exp(-C2 * radii[sel])))
+    bound_ok = bool(np.all(env <= 1.1 * C1 * np.exp(-C2 * x)))
     return {
         "C1": C1,
         "C2": C2,
@@ -718,13 +730,13 @@ def solve_report(result: SolveResult, config: ModelConfig) -> dict:
     The level against c_*, the Nehari and gradient residuals, the argmax
     (argmax_x, argmax_y), sup norm, iterations and convergence, the
     penalization check (`verify_solution_region`) and the decay fit.  A
-    fit that fails with a DomainError or a LinAlgError leaves nan decay
+    fit that finds no decay annulus (DomainError) leaves nan decay
     values and decay_bound_ok false; any other error propagates.
     """
     region = verify_solution_region(result, config)
     try:
         fit = decay_fit(result)
-    except (DomainError, np.linalg.LinAlgError):
+    except DomainError:
         fit = {"C1": np.nan, "C2": np.nan, "r_squared": np.nan,
                "pointwise_bound_ok": False}
     return {

@@ -24,6 +24,7 @@ from frns.solver import (
     Tolerances,
     autonomous_ground_state,
     concentration_sweep,
+    decay_annulus,
     decay_fit,
     default_init,
     dist_to_wells,
@@ -87,15 +88,29 @@ class TestNehariScale:
         t = NehariMoments(problem, gaussian_bump(grid, (-4.0, 0.0), amplitude=amp)).scale()[0]
         assert t * amp == pytest.approx(t1, rel=1e-12)
 
-    @pytest.mark.parametrize("amp", [1e-80, 1e-100, 1e-150])
+    @pytest.mark.parametrize("amp", [1e-80, 1e-100, 1e-150, 1e-160])
     def test_overflowing_power_leaves_no_bracket(self, amp):
         # the root t ~ 1/amp takes t^(2* - 2) and t^(2*) past the largest
-        # float, where Python's pow raises rather than return inf
+        # float, where Python's pow raises rather than return inf; at
+        # 1e-160 it lies past the scan's end 2^(1023/2)
         grid = Grid(2, 64, 18.0)
         problem = NehariProblem.penalized(default_config(), grid)
         u = gaussian_bump(grid, (-4.0, 0.0), amplitude=amp)
         with pytest.raises(NoBracketError, match="no Nehari bracket"):
             NehariMoments(problem, u).scale()
+
+    def test_root_short_of_overflow_is_bracketed(self):
+        # at s = 0.99999, 2*_s = 200000: the scan's first step 2^(512/199998)
+        # takes t^(2* - 2) to 2^512 and a second would take it to 2^1024,
+        # past the largest float; the scan ends at 2^(1023/199998) instead,
+        # so the 64^2 start's root, where t^(2* - 2) is about 6e170, is found
+        frac = FracParams(s=0.99999, m=1.0, n_dim=2)
+        cfg = ModelConfig(frac=frac, eps=0.25, potential=POT, nonlin=NL, kappa=10.0)
+        grid = Grid(2, 64, 18.0)
+        problem = NehariProblem.penalized(cfg, grid)
+        t, level = NehariMoments(problem, default_init(cfg, grid)).scale()
+        assert 1.0017760 < t < 1.0035553
+        assert np.isfinite(level)
 
     def test_autonomous_closed_form(self):
         # for g(t) = lam t^2 + t^3 the Nehari equation is a quadratic in t:
@@ -780,6 +795,24 @@ class TestDecayFit:
         assert fit["C2"] > 0.0
         assert fit["r_squared"] >= 0.9
         assert fit["pointwise_bound_ok"]
+
+    @pytest.mark.parametrize("field", ["synthetic", "solved"])
+    def test_closed_form_matches_lstsq(self, field, request):
+        res = self._synthetic() if field == "synthetic" else request.getfixturevalue("solved")[2]
+        # the reference: LAPACK's least squares on the same shells
+        x, env = decay_annulus(res)
+        y = np.log(env)
+        A = np.stack([np.ones_like(x), -x], axis=1)
+        coef, *_ = np.linalg.lstsq(A, y, rcond=None)
+        yhat = A @ coef
+        ref = {
+            "C1": np.exp(coef[0] + np.max(y - yhat)),
+            "C2": coef[1],
+            "r_squared": 1.0 - np.sum((y - yhat) ** 2) / np.sum((y - np.mean(y)) ** 2),
+        }
+        fit = decay_fit(res)
+        for key, value in ref.items():
+            assert fit[key] == pytest.approx(value, rel=1e-12, abs=0.0), key
 
 
 class TestTraceConstantEstimate:
