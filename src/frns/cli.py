@@ -398,8 +398,8 @@ def _kernel_checks(cfg):
     # truncation lifts it to 2e-5 for s = 1/4
     r = np.linspace(0.2, 6.0, 40)
     h = 1e-4
-    th = theta_profile(s, r)
-    d2 = (theta_profile(s, r + h) - 2.0 * th + theta_profile(s, r - h)) / h**2
+    th, th_plus, th_minus = theta_profile(s, np.concatenate((r, r + h, r - h))).reshape(3, -1)
+    d2 = (th_plus - 2.0 * th + th_minus) / h**2
     resid = d2 + (1.0 - 2.0 * s) / r * theta_profile_deriv(s, r) - th
     checks.append(("theta_ode_residual", float(np.max(np.abs(resid))), 0.0, 1e-4))
 

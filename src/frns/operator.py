@@ -172,10 +172,13 @@ class KernelTable:
         from vhat = `half_spectrum`(v, even_axes) of raw samples on `grid`
         or on their block.  On an axis that keeps the modes 0..n/2, each
         mode but 0 and n/2 stands for itself and its mirror -k, whose
-        |v_hat|^2 and symbol are the same (`Grid.multiplicity`)."""
-        v = np.ascontiguousarray(vhat)
-        if np.iscomplexobj(v):
-            v = v.view(np.float64)  # real and imaginary parts side by side
+        |v_hat|^2 and symbol are the same (`Grid.multiplicity`).  A complex
+        spectrum is read as its real and imaginary parts side by side; a
+        real one (`even_block_spectrum`) is squared where it lies, strided
+        or not, with no copy."""
+        v = vhat
+        if np.iscomplexobj(v):  # real and imaginary parts side by side
+            v = np.ascontiguousarray(v).view(np.float64)
         return float(np.sum(self._form_weight * (v * v)))
 
     @cached_property
@@ -318,19 +321,24 @@ def estimate_s_star(frac: FracParams) -> dict:
     Each u_rho is radial about x = 0, grid index n/2, so it is even in
     every axis about that index, and both full-grid sums are evaluated
     exactly on its block, as the descent's are (`Grid.block`,
-    `Grid.multiplicity`, `KernelTable.even_block`): (n/2+1)^N samples,
-    one mirrored rfft per axis.  The numerator is the form of the m = 0
-    symbol |k|^(2s).  Since 2*_s (N-2s)/2 = N, |u|^(2*_s) = q^N cut^(2*_s)
-    with q = rho/(r^2+rho^2).
+    `Grid.multiplicity`): (n/2+1)^N samples, one mirrored rfft per axis.
+    The radii and the m = 0 symbol |k|^(2s) of the numerator's form are
+    built on the block alone, from the block of the 1-D axis and its
+    modes 0..n/2, and each denominator is one dot product.  Since
+    2*_s (N-2s)/2 = N, |u|^(2*_s) = q^N cut^(2*_s) with q = rho/(r^2+rho^2).
     """
     N, s = frac.n_dim, frac.s
     grid = Grid(N, 16384 if N == 1 else 512, 800.0 if N == 1 else 30.0)
     axes = tuple(range(N))
     rho_values = np.geomspace(0.02, 2.0, 16)
     two_star = frac.two_star
-    r = grid.block(grid.radii(), axes)
+    # the block's |x|^2 and |k|^2 from one axis: its block, and the last
+    # axis's wavenumbers, the modes 0..n/2 of every axis of the block
+    on_block = (lambda a: a) if N == 1 else (lambda a: a[:, None] + a)
+    r = np.sqrt(on_block(grid.block(grid.axis() ** 2, (0,))))
     r2 = r * r
-    form = KernelTable(grid, grid.half_k_squared() ** s).even_block(axes).form
+    k = grid.half_wavenumbers()[-1]
+    form = KernelTable(grid, on_block(k * k) ** s, axes).form
     L = grid.half_length
     # smooth radial cutoff supported in r < 0.9 L
     cut = 0.5 * (1.0 + np.cos(np.pi * np.clip((r / L - 0.5) / 0.4, 0.0, 1.0)))
@@ -341,7 +349,7 @@ def estimate_s_star(frac: FracParams) -> dict:
     for rho in rho_values:
         q = rho / (r2 + rho**2)
         num = sig * form(half_spectrum(q ** ((N - 2.0 * s) / 2.0) * cut, axes))
-        den = (grid.spacing**N * float(np.sum(q**N * mult_cut_2star))) ** (2.0 / two_star)
+        den = (grid.spacing**N * float(np.vdot(q**N, mult_cut_2star))) ** (2.0 / two_star)
         quotients.append(num / den)
     quotients = np.asarray(quotients)
     # central slope of log q vs log rho; flattest interior point

@@ -9,6 +9,7 @@ import pytest
 
 from frns.specfun import DomainError, FracParams
 from frns.operator import (
+    DCT_MATRIX_MAX_POINTS,
     Field,
     Grid,
     GridMismatchError,
@@ -188,6 +189,10 @@ EVEN_CASES = [pytest.param(Grid(2, 64, 7.0), (0,), id="axes0"),
               pytest.param(Grid(2, 64, 7.0), (1,), id="axes1"),
               pytest.param(Grid(2, 64, 7.0), (0, 1), id="axes2"),
               pytest.param(Grid(1, 64, 7.0), (0,), id="1d")]
+# blocks longer than DCT_MATRIX_MAX_POINTS: the sstar bubbles' 257 points
+# and the 1024-point 1D descent's 513
+LONG_EVEN_CASES = [pytest.param(Grid(2, 512, 7.0), (0, 1), id="axes2-257"),
+                   pytest.param(Grid(1, 1024, 7.0), (0,), id="1d-513")]
 
 
 class TestEvenAxes:
@@ -197,7 +202,8 @@ class TestEvenAxes:
     @staticmethod
     def even_field(grid, axes, seed):
         rng = np.random.default_rng(seed)
-        shape = tuple(33 if ax in axes else 64 for ax in range(grid.n_dim))
+        n = grid.points_per_dim
+        shape = tuple(n // 2 + 1 if ax in axes else n for ax in range(grid.n_dim))
         block = rng.standard_normal(shape)
         u = grid.unfold(block, axes)
         assert np.array_equal(grid.block(u, axes), block)
@@ -245,13 +251,17 @@ class TestEvenAxes:
         back = from_half_spectrum(1.0, half_spectrum(block, axes), block.shape, axes)
         assert np.max(np.abs(back - block)) <= 1e-14 * np.max(np.abs(block))
 
-    @pytest.mark.parametrize("grid, axes", EVEN_CASES)
+    @pytest.mark.parametrize("grid, axes", EVEN_CASES + LONG_EVEN_CASES)
     def test_block_table_form_matches_full_grid(self, grid, axes):
         table = build_symbol(grid, FracParams(s=0.3, m=1.0, n_dim=grid.n_dim))
         block, u = self.even_field(grid, axes, 7)
         vhat = half_spectrum(block, axes)
-        assert table.even_block(axes).form(vhat) == pytest.approx(
-            table.form(half_spectrum(u)), rel=1e-12)
+        form = table.even_block(axes).form
+        assert form(vhat) == pytest.approx(table.form(half_spectrum(u)), rel=1e-12)
+        if grid.points_per_dim // 2 + 1 > DCT_MATRIX_MAX_POINTS:
+            # the strided real part of the mirrored rfft, squared where it lies
+            assert not np.iscomplexobj(vhat) and not vhat.flags.c_contiguous
+            assert form(vhat) == form(np.ascontiguousarray(vhat))
         mult = grid.multiplicity(axes)
         assert float(np.sum(mult * block)) == pytest.approx(float(np.sum(u)), rel=1e-12)
         assert float(np.sum(mult * np.ones_like(block))) == grid.total_points

@@ -54,7 +54,10 @@ class TestBesselK:
                 ref = bessel_k_oracle(nu, x)
                 assert bessel_k(nu, x) == pytest.approx(ref, rel=1e-10)
 
-    @pytest.mark.parametrize("nu", [0.0, 1e-9, 0.25, 0.5, 1.0 - 1e-9, 1.0, 1.5, 2.5, 10.0])
+    # nu = 0.5 - 1e-12 sums K_mu alone (mu near 1/2); 0.75 (mu = -1/4, the
+    # order of theta' at s = 1/4) and 1.5 - 1e-12 (mu near 1/2) sum K_{mu+1} alone
+    @pytest.mark.parametrize("nu", [0.0, 1e-9, 0.25, 0.5 - 1e-12, 0.5, 0.75, 1.0 - 1e-9, 1.0,
+                                    1.5 - 1e-12, 1.5, 2.5, 10.0])
     def test_matches_scipy(self, nu):
         # kv flushes to 0 above x = 697.9, so the oracle is the scaled kve
         # times e^(-x), whose own conditioning is about 1e-13 at x = 700
