@@ -41,6 +41,7 @@ from .params import (
     autonomous_box,
     box_half_length,
     check_run,
+    cores,
 )
 
 EXIT_PASS = 0
@@ -538,7 +539,7 @@ def cmd_sweep(args) -> int:
 
     rows = concentration_sweep(
         cfg, settings.sweep_eps, points_per_dim=settings.sweep_points_per_dim,
-        tolerances=settings.tolerances, jobs=args.jobs or (os.cpu_count() or 1),
+        tolerances=settings.tolerances, jobs=args.jobs or cores(),
     )
     header = _columns(
         cfg.frac.n_dim, ("eps", "energy", "c_star", "d_V0_estimate"),

@@ -13,7 +13,9 @@ the descent's iterates and the bubbles of the trace Sobolev quotient
 (`estimate_s_star`) are: along each of those axes a DCT-I, one product
 with a cached cosine matrix on a block of up to 129 points (a descent
 on up to 256 points per axis) and a mirrored rfft on a longer one (the
-bubbles, the 1024-point 1D descent).  A direct
+bubbles, the 1024-point 1D descent).  The 16 bubbles share no data, so
+their quotients run on up to one thread per core, at most 16 threads
+(`params.parallel_map`); numpy's FFTs release the GIL.  A direct
 principal-value quadrature of the singular-integral form is kept (1D
 only) as an independent cross-check of the spectral path, and the
 resolvent / Bessel-kernel pair gives the Green-function view.
@@ -26,7 +28,7 @@ from math import gamma as Gamma, prod
 import numpy as np
 from numpy.fft import irfft, irfftn, rfft, rfftn
 
-from .params import DomainError, FracParams, check_grid
+from .params import DomainError, FracParams, check_grid, parallel_map
 from .specfun import (bessel_k, half_line_rule, kernel_constants, sigma_s,
                       sobolev_trace_constant)
 
@@ -270,7 +272,10 @@ def even_block_spectrum(block, axes):
             out = out @ C if ax == out.ndim - 1 else np.matmul(C.T, out)
         else:
             interior = (slice(None),) * ax + (slice(-2, 0, -1),)  # indices n/2-1..1
-            out = rfft(np.concatenate((out, out[interior]), axis=ax), axis=ax).real
+            mirrored = np.concatenate((out, out[interior]), axis=ax)
+            del out  # the previous axis's spectrum goes before the next rfft
+            out = rfft(mirrored, axis=ax).real
+            del mirrored
     return out
 
 
@@ -326,6 +331,11 @@ def estimate_s_star(frac: FracParams) -> dict:
     built on the block alone, from the block of the 1-D axis and its
     modes 0..n/2, and each denominator is one dot product.  Since
     2*_s (N-2s)/2 = N, |u|^(2*_s) = q^N cut^(2*_s) with q = rho/(r^2+rho^2).
+
+    The 16 quotients share no data and run on up to one thread per core
+    (`params.parallel_map`), at most 16 threads; each does the same
+    arithmetic on any number of threads, so the quotients are the same
+    bit for bit.
     """
     N, s = frac.n_dim, frac.s
     grid = Grid(N, 16384 if N == 1 else 512, 800.0 if N == 1 else 30.0)
@@ -342,16 +352,18 @@ def estimate_s_star(frac: FracParams) -> dict:
     L = grid.half_length
     # smooth radial cutoff supported in r < 0.9 L
     cut = 0.5 * (1.0 + np.cos(np.pi * np.clip((r / L - 0.5) / 0.4, 0.0, 1.0)))
+    del r
     mult_cut_2star = grid.multiplicity(axes) * cut**two_star
-
     sig = sigma_s(s)
-    quotients = []
-    for rho in rho_values:
+
+    def quotient(rho):
         q = rho / (r2 + rho**2)
-        num = sig * form(half_spectrum(q ** ((N - 2.0 * s) / 2.0) * cut, axes))
         den = (grid.spacing**N * float(np.vdot(q**N, mult_cut_2star))) ** (2.0 / two_star)
-        quotients.append(num / den)
-    quotients = np.asarray(quotients)
+        q **= (N - 2.0 * s) / 2.0  # the bubble, in place: one block per quotient in flight
+        q *= cut
+        return sig * form(half_spectrum(q, axes)) / den
+
+    quotients = np.asarray(parallel_map(quotient, rho_values))
     # central slope of log q vs log rho; flattest interior point
     dlogq = np.abs(np.log(quotients[2:]) - np.log(quotients[:-2]))
     i_best = 1 + int(np.argmin(dlogq))

@@ -3,15 +3,19 @@
 The fractional order, the potential and nonlinearity specs, the joint
 check of the paper's hypotheses ((V1), (V2), (f2) and the kappa bound),
 the penalization threshold a that the check derives, the descent's
-stopping rule, Brent's root finder, and the one gate on the grids,
-boxes and solver settings of a run (`check_run`).
+stopping rule, Brent's root finder, the one gate on the grids,
+boxes and solver settings of a run (`check_run`), and the one way the
+program uses its cores (`parallel_map`).
 
 The module imports the standard library alone, so a command that only
 validates a config (`frns validate`) starts without numpy; the array
 layers (specfun, operator, model, solver) import these names from here.
 """
 
+import contextvars
 import math
+import os
+import threading
 from dataclasses import dataclass, field
 
 
@@ -116,6 +120,59 @@ def brentq(f, a, b, xtol=2e-12, rtol=8.881784197001252e-16, maxiter=100):
             xcur += delta if sbis > 0.0 else -delta
         fcur = call(xcur)
     raise RuntimeError(f"brentq failed to converge after {maxiter} iterations, value is {xcur}")
+
+
+# ---------------------------------------------------------------------------
+# cores
+
+
+def cores() -> int:
+    """The number of CPUs this process may run on: its affinity mask where
+    the platform has one (`taskset`, a cgroup cpuset), else every CPU."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+def parallel_map(fn, items, workers=None) -> list:
+    """[fn(x) for x in items], on min(workers or `cores()`, len(items))
+    threads, the caller's among them; on one it is that plain loop and
+    starts no thread.
+
+    Threads overlap only where fn runs native code that releases the GIL,
+    such as numpy's FFTs.  Each thread takes the next item from one shared
+    iterator, so a slow item holds up no other, and runs in a copy of the
+    caller's context, which holds numpy's `errstate`.  Every item runs;
+    once all threads have joined, the exception of the lowest failing
+    index is raised."""
+    items = list(items)
+    n_threads = min(workers or cores(), len(items))
+    if n_threads <= 1:
+        return [fn(x) for x in items]
+    results, errors = [None] * len(items), {}
+    todo, lock = enumerate(items), threading.Lock()
+
+    def work():
+        while True:
+            with lock:
+                i, x = next(todo, (None, None))
+            if i is None:
+                return
+            try:
+                results[i] = fn(x)
+            except BaseException as exc:  # re-raised below, after the join
+                errors[i] = exc
+
+    threads = [threading.Thread(target=contextvars.copy_context().run, args=(work,))
+               for _ in range(n_threads - 1)]
+    for t in threads:
+        t.start()
+    work()
+    for t in threads:
+        t.join()
+    if errors:
+        raise errors[min(errors)]
+    return results
 
 
 class AssumptionError(ValueError):

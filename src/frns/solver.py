@@ -33,6 +33,7 @@ from .params import (
     Tolerances,
     box_half_length,
     brentq,
+    parallel_map,
 )
 from .specfun import sobolev_trace_constant
 
@@ -774,7 +775,9 @@ def concentration_sweep(
     tolerances: Tolerances = Tolerances(),
     jobs: int = 1,
 ) -> list:
-    """Solve across decreasing eps on `jobs` threads; track the maximum.
+    """Solve across decreasing eps on up to `jobs` threads, one eps per
+    thread at a time and never more threads than eps (`parallel_map`);
+    track the maximum.
 
     Each row is the `solve_report` of one solve plus eps, the grid
     (grid_points, half_length), the rescaled argmax distance to the
@@ -799,7 +802,4 @@ def concentration_sweep(
                    error=None)
         return row
 
-    from concurrent.futures import ThreadPoolExecutor  # 10 ms to import; only sweep uses it
-
-    with ThreadPoolExecutor(max_workers=jobs) as ex:
-        return list(ex.map(run_one, eps_list))
+    return parallel_map(run_one, eps_list, jobs)

@@ -52,14 +52,15 @@ def read_rows(path):
 
 
 # Runs the CLI with the given arguments (none: import only) in a fresh
-# interpreter and prints the exit code and the numpy, scipy, _hashlib and
-# frns.* modules then loaded.
+# interpreter and prints the exit code and the numpy, scipy, _hashlib,
+# concurrent.futures, logging and frns.* modules then loaded.
 MODULE_PROBE = """
 import sys
 import frns.cli
 rc = frns.cli.main(sys.argv[1:]) if sys.argv[1:] else 0
 print(rc, *sorted(m for m in sys.modules
-                  if m in ("numpy", "scipy", "_hashlib") or m.startswith(("scipy.", "frns."))))
+                  if m in ("numpy", "scipy", "_hashlib", "concurrent.futures", "logging")
+                  or m.startswith(("scipy.", "frns."))))
 """
 
 # the modules each command may load, beyond the standard library: validate
@@ -73,6 +74,7 @@ MODULE_BUDGET = {
     "sstar": ARRAYS,
     "kernels": ARRAYS | {"frns.extension"},
     "solve": ARRAYS | {"frns.model", "frns.solver"},
+    "sweep": ARRAYS | {"frns.model", "frns.solver"},
 }
 
 
@@ -89,6 +91,8 @@ def probes(tmp_path_factory):
             text = open(CFG_2D).read().replace(
                 "grid.points_per_dim = 128", "grid.points_per_dim = 64")
             argv = [command, "--config", write_cfg(tmp, text)]
+        if command == "sweep":  # TestSweep's 32-point config, on two threads
+            argv = [command, "--config", small_cfg(tmp, 32), "--jobs", "2"]
         if command not in ("import", "validate"):
             argv += ["--out", str(tmp / command)]
         run = subprocess.run([sys.executable, "-c", MODULE_PROBE,
@@ -125,6 +129,18 @@ class TestModuleBudget:
         rc, loaded = probes[command]
         assert rc == EXIT_PASS
         assert loaded == MODULE_BUDGET[command]
+
+
+class TestNoThreadPool:
+    # importing concurrent.futures, which imports logging, costs about
+    # 8 ms and 0.6 MB; the sweep's and sstar's threads come from
+    # params.parallel_map, on the threading module that numpy loads anyway
+
+    @pytest.mark.parametrize("command", sorted(MODULE_BUDGET))
+    def test_command_loads_neither_futures_nor_logging(self, command, probes):
+        rc, loaded = probes[command]
+        assert rc == EXIT_PASS
+        assert not loaded & {"concurrent.futures", "logging"}
 
 
 class TestNoLibcrypto:
